@@ -36,8 +36,8 @@
 //     cores    = 4                # optional; > 1 → partitioned runtime
 //     partition = ffd             # ffd|wfd|bfd bin-packing heuristic
 //     policy   = semi             # partitioned|global|semi job scheduling
-//     backend  = threads          # lockstep|threads execution substrate
-//     quantum  = 0.5              # lock-step epoch of the multi-core VMs
+//     backend  = threads          # lockstep|threads epoch stepper
+//     quantum  = 0.5              # epoch length of the multi-core VMs
 //     channel_latency = 0.25      # min cross-core message in-flight time
 //     rebalance = drift           # off|drift|admit online load rebalancing
 //     rebalance_drift = 0.25      # measured-vs-packed utilization trigger
@@ -82,11 +82,11 @@ struct CliConfig {
   // the static partition, a global shared ready pool, or semi-partitioned
   // work stealing.
   mp::SchedPolicy policy = mp::SchedPolicy::kPartitioned;
-  // Execution substrate (exec path of multi-core specs): the deterministic
+  // MultiVm's stepper (exec path of multi-core specs): the deterministic
   // lock-step oracle, or one pinned OS worker thread per core measuring
   // wall-clock throughput (same virtual-time results, cross-validated).
   mp::ExecBackend backend = mp::ExecBackend::kLockstep;
-  // Lock-step epoch of the partitioned execution (mp::MultiVm). Also the
+  // Epoch length of the partitioned execution (mp::MultiVm). Also the
   // granularity at which cross-core channel messages are delivered.
   common::Duration quantum = common::Duration::time_units(1);
   // Online load rebalancing at the epoch boundaries (exec path of

@@ -25,13 +25,14 @@
 //                            ambient randomness, no iteration over
 //                            unordered containers (rules det-random /
 //                            det-clock / det-unordered-iter).
-//   TSF_BARRIER_ONLY         The epoch-boundary completion-step world of
-//                            mp/threaded_runtime: runs on one thread while
-//                            every worker is parked at the barrier. Must
-//                            never be reachable from TSF_WORKER_PHASE code
-//                            (rule phase-order).
-//   TSF_WORKER_PHASE         Code running concurrently inside a core's
-//                            epoch under `backend = threads`. The lint
+//   TSF_BARRIER_ONLY         The epoch-boundary step of mp/multi_vm: runs
+//                            on one thread while every core is paused (under
+//                            `backend = threads`, while every worker is
+//                            parked at the barrier). Must never be reachable
+//                            from TSF_WORKER_PHASE code (rule phase-order).
+//   TSF_WORKER_PHASE         Code running inside a core's epoch —
+//                            concurrently with the other cores under
+//                            `backend = threads`. The lint
 //                            walks the call graph from every worker-phase
 //                            root; reaching a barrier-only function is a
 //                            phase-order violation unless the edge is in

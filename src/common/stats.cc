@@ -35,27 +35,9 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-QuantileReservoir::QuantileReservoir(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_state_(seed) {}
-
 void QuantileReservoir::add(double x) {
-  ++count_;
-  if (capacity_ == 0 || samples_.size() < capacity_) {
-    samples_.push_back(x);
-    sorted_ = false;
-    return;
-  }
-  // Algorithm R: replace a uniformly-chosen slot with probability cap/count.
-  // SplitMix64 step — deterministic, independent of any global RNG.
-  std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  const std::uint64_t slot = z % count_;
-  if (slot < samples_.size()) {
-    samples_[slot] = x;
-    sorted_ = false;
-  }
+  samples_.push_back(x);
+  sorted_ = false;
 }
 
 double QuantileReservoir::quantile(double q) const {

@@ -35,34 +35,24 @@ class Accumulator {
   double sum_c_ = 0.0;  // compensation term
 };
 
-// Quantile estimation over a stream of samples.
-//
-// Exact while the sample count stays within `capacity`; beyond that it
-// degrades to uniform reservoir sampling (Vitter's algorithm R) driven by a
-// fixed-seed deterministic RNG, so results are reproducible run-to-run.
-// capacity == 0 means "unbounded": keep everything, always exact.
+// Exact quantiles over a stream of samples: keeps every sample and sorts on
+// demand. For bounded memory over unbounded streams use LogSketch
+// (common/sketch.h).
 class QuantileReservoir {
  public:
-  explicit QuantileReservoir(std::size_t capacity = 0,
-                             std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
-
   void add(double x);
 
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  bool exact() const { return count_ <= samples_.size() || capacity_ == 0; }
+  std::size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
 
-  // Nearest-rank quantile of the retained samples, q in [0,1]; 0 when empty.
-  // Sorts on demand (cached until the next add).
+  // Nearest-rank quantile of the samples, q in [0,1]; 0 when empty. Sorts on
+  // demand (cached until the next add).
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
  private:
-  std::size_t capacity_;
-  std::uint64_t rng_state_;
-  std::size_t count_ = 0;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };

@@ -1,13 +1,14 @@
 // Cross-core communication interfaces between per-core execution worlds.
 //
-// The partitioned runtime (tsf::mp) advances one VirtualMachine per core in
-// deterministic lock-step epochs; cross-core traffic rides those epoch
+// The partitioned runtime (tsf::mp) advances one VirtualMachine per core to
+// shared, deterministic epoch boundaries; cross-core traffic rides those
 // boundaries. This header holds the vocabulary shared by both sides of that
 // boundary: the per-core *port* a handler posts into (implemented by
-// mp::ChannelFabric), and the per-core *endpoint* the fabric delivers into
-// (implemented by exp::ExecSystem). Keeping the interfaces here — below the
-// mp layer — lets the exec runner stay ignorant of mailboxes, epochs and
-// routing while the fabric stays ignorant of servers, fibers and timers.
+// mp::MultiVm, which stages each fire for its boundary step), and the
+// per-core *endpoint* the fabric delivers into (implemented by
+// exp::ExecSystem). Keeping the interfaces here — below the mp layer — lets
+// the exec runner stay ignorant of mailboxes, epochs and routing while the
+// fabric stays ignorant of servers, fibers and timers.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +71,8 @@ struct StolenJob {
 };
 
 // One core's outbound side of the channel fabric. A handler that completes a
-// job with a `fires` target posts here; delivery happens at a later epoch
-// boundary, never synchronously.
+// job with a `fires` target posts here, mid-epoch; delivery happens at a
+// later epoch boundary, never synchronously.
 class CrossCorePort {
  public:
   virtual ~CrossCorePort() = default;

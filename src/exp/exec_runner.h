@@ -83,7 +83,7 @@ model::RunResult run_exec(const model::SystemSpec& spec,
 
 // One spec lowered onto one VM, with the run loop left to the caller — the
 // building block behind run_exec and the per-core worlds of mp::MultiVm
-// (which advances several VMs in lock-step). Lifecycle:
+// (which advances several VMs to shared epoch boundaries). Lifecycle:
 //
 //     rtsj::vm::VirtualMachine vm(options.kernel);
 //     ExecSystem system(vm, spec, options);   // builds server/threads/timers
@@ -102,10 +102,10 @@ model::RunResult run_exec(const model::SystemSpec& spec,
 //
 // Threading contract (backend = threads): completion posting through `port`
 // happens mid-epoch, concurrently with other cores' worlds — the port
-// implementation must be thread-safe (mp::ThreadedRuntime hands each core a
-// port staging into a lock-free MPSC mailbox). Every CoreEndpoint method,
-// by contrast, is only ever invoked at an epoch boundary while all workers
-// are synchronized at the barrier, so the endpoint itself needs no locks.
+// implementation must be thread-safe (mp::MultiVm hands each core a port
+// staging into a lock-free MPSC mailbox). Every CoreEndpoint method, by
+// contrast, is only ever invoked at an epoch boundary while every core is
+// paused there, so the endpoint itself needs no locks.
 class ExecSystem : public CoreEndpoint {
  public:
   ExecSystem(rtsj::vm::VirtualMachine& vm, const model::SystemSpec& spec,

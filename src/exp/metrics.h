@@ -72,7 +72,7 @@ ResponseDistribution compute_response_distribution(
 //
 // `latency_*`: posted → delivered, over successfully delivered messages.
 // This is the cost of epoch synchronization: the spec's channel_latency
-// plus the wait for the next MultiVm boundary (the quantization delay that
+// plus the wait for the next epoch boundary (the quantization delay that
 // makes the quantum a tuning knob).
 //
 // `e2e_*`: posted → handler completion on the receiving core, over messages

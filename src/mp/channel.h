@@ -1,14 +1,14 @@
-// Cross-core event channels over the lock-step epochs of mp::MultiVm.
+// Cross-core event channels over the epochs of mp::MultiVm.
 //
 // Partitioned cores are deterministic silos; the only instants at which all
 // of them agree on "now" are the epoch boundaries MultiVm drives them to.
-// The ChannelFabric exploits exactly those instants: a handler on core A
-// posts a message (a remote ServableAsyncEvent fire, or a migrating
-// aperiodic job) into the target core's mailbox while its VM runs, and the
-// fabric drains every mailbox when all VMs are paused at the next boundary.
-// Because posts happen in core order within an epoch (MultiVm advances VMs
-// sequentially) and deliveries happen in (due-time, post-sequence) order,
-// multi-core runs with cross-core traffic stay bit-reproducible.
+// The ChannelFabric exploits exactly those instants: a fire staged by a
+// handler on core A while its VM runs is posted into the target core's
+// mailbox by MultiVm's boundary step, and the fabric drains every mailbox
+// while all VMs are paused there. Because the boundary posts in (core,
+// per-core post) order on either stepper and deliveries happen in
+// (due-time, post-sequence) order, multi-core runs with cross-core traffic
+// stay bit-reproducible.
 //
 // Two channel types:
 //  * remote fire — `fires = <job>` in the spec: at handler completion the
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -61,7 +60,6 @@ class Mailbox {
 
   TSF_BARRIER_ONLY
   void push(Message m) { in_flight_.push_back(std::move(m)); }
-  bool empty() const { return in_flight_.empty(); }
   std::size_t size() const { return in_flight_.size(); }
 
   // Removes and returns every message with due <= boundary, preserving post
@@ -78,16 +76,13 @@ class Mailbox {
 class ChannelFabric {
  public:
   explicit ChannelFabric(std::size_t cores, ChannelConfig config = {});
-  ~ChannelFabric();
   ChannelFabric(const ChannelFabric&) = delete;
   ChannelFabric& operator=(const ChannelFabric&) = delete;
 
   std::size_t cores() const { return mailboxes_.size(); }
 
-  // --- wiring (done by MultiVm / mp::run before start) ---
+  // --- wiring (done by MultiVm / mp::run before the run) ---
 
-  // The outbound port handed to core `core`'s ExecSystem.
-  exp::CrossCorePort* port(std::size_t core);
   // The inbound endpoint deliveries go to.
   void connect(std::size_t core, exp::CoreEndpoint* endpoint);
   // The connected endpoint (nullptr before connect) — the scheduling-policy
@@ -108,13 +103,11 @@ class ChannelFabric {
 
   // --- runtime ---
 
-  // Posts a remote fire (normally reached via port(core)). The target core
-  // comes from the routing table; an unbound name is recorded as a failed
-  // delivery immediately. Barrier-only: the fabric's containers are plain —
-  // under the threads backend, fires reach here via the staged-replay path
-  // (mp/mailbox.h), never directly from a worker. The lock-step backend's
-  // direct PortImpl -> post_fire call is the one reviewed exception (see
-  // tools/tsf_lint.allow).
+  // Posts a remote fire. The target core comes from the routing table; an
+  // unbound name is recorded as a failed delivery immediately. Barrier-only:
+  // the fabric's containers are plain, so on both steppers a handler's fire
+  // is staged mid-epoch and replayed here by MultiVm's boundary step
+  // (mp/mailbox.h), never posted directly from a running core.
   TSF_BARRIER_ONLY
   void post_fire(std::size_t from_core, const std::string& job,
                  common::TimePoint posted);
@@ -141,7 +134,6 @@ class ChannelFabric {
     return deliveries_;
   }
   std::size_t in_flight() const;
-  std::uint64_t posted_count() const { return next_seq_; }
 
   // The shared load-balancing signal of migrations and the global ready
   // pool: the serving core with the shallowest pending queue (ties to the
@@ -149,8 +141,6 @@ class ChannelFabric {
   std::size_t least_loaded_serving_core() const;
 
  private:
-  struct PortImpl;
-
   struct PendingMigration {
     exp::MigratedJob job;
     common::TimePoint release;
@@ -162,7 +152,6 @@ class ChannelFabric {
 
   ChannelConfig config_;
   std::vector<Mailbox> mailboxes_;
-  std::vector<std::unique_ptr<PortImpl>> ports_;
   std::vector<exp::CoreEndpoint*> endpoints_;
   std::map<std::string, std::size_t> routes_;  // job name -> hosting core
   // Names that will be bound at run time (migratables, ready-pool jobs),

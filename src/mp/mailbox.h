@@ -1,4 +1,4 @@
-// Lock-free MPSC mailboxes for the real-threads execution backend.
+// Lock-free MPSC mailboxes: the staging path of every cross-core fire.
 //
 // Under `backend = threads` every core's worker runs concurrently inside an
 // epoch, so a handler completing on core A cannot touch the ChannelFabric
@@ -6,16 +6,16 @@
 // and the lock-step delivery order would be lost anyway). Instead each
 // outbound fire is *staged*: pushed into one shared MpscQueue as a
 // StagedFire carrying its producing core and a per-producer sequence
-// number. The epoch-barrier coordinator — the single consumer — drains the
-// queue while every worker is parked at the barrier, sorts the batch into
-// replay order, and replays it through ChannelFabric::post_fire.
+// number. MultiVm's boundary step — the single consumer — drains the queue
+// while every core is paused, sorts the batch into replay order, and
+// replays it through ChannelFabric::post_fire. The lock-step stepper stages
+// the same way, so both steppers share one path into the fabric.
 //
-// Replay order is what makes the threads backend bit-reproducible against
-// the lock-step oracle: MultiVm advances VMs sequentially within an epoch,
-// so the fabric's global post order is exactly (core, per-core post order)
-// per epoch. Sorting an epoch's staged fires by (from_core, seq) therefore
-// reconstructs the oracle's post order no matter how the OS interleaved the
-// workers.
+// Replay order is what makes the threads stepper bit-reproducible against
+// the lock-step oracle: the lock-step stepper advances VMs sequentially
+// within an epoch, so its staged post order is exactly (core, per-core post
+// order) per epoch. Sorting an epoch's staged fires by (from_core, seq)
+// reconstructs that order no matter how the OS interleaved the workers.
 //
 // The queue itself is Dmitry Vyukov's non-intrusive MPSC design: producers
 // exchange the head pointer (wait-free) and then publish the link; the
@@ -78,12 +78,7 @@ class MpscQueue {
   }
 
   ~MpscQueue() {
-    Node* n = tail_;
-    while (n != nullptr) {
-      Node* next = n->next.load(std::memory_order_relaxed);
-      delete n;
-      n = next;
-    }
+    free_list(tail_);
     free_list(stash_);
     free_list(free_head_.load(std::memory_order_relaxed));
   }

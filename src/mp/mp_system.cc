@@ -3,37 +3,23 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "common/diag.h"
 #include "common/rng.h"
+#include "common/trace_stream.h"
 #include "mp/channel.h"
+#include "mp/load_meter.h"
 #include "mp/multi_vm.h"
 #include "mp/overload.h"
-#include "mp/threaded_runtime.h"
 #include "sim/simulator.h"
 
 namespace tsf::mp {
 
 using common::TimePoint;
-
-const char* to_string(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kLockstep:
-      return "lockstep";
-    case ExecBackend::kThreads:
-      return "threads";
-  }
-  return "?";
-}
-
-std::optional<ExecBackend> parse_exec_backend(std::string_view name) {
-  if (name == "lockstep") return ExecBackend::kLockstep;
-  if (name == "threads") return ExecBackend::kThreads;
-  return std::nullopt;
-}
 
 const char* to_string(RunEngine engine) {
   switch (engine) {
@@ -299,26 +285,34 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
     }
   }
 
+  // One load meter, sampled once per boundary, feeds both the rebalancer
+  // and the shed governor. Mode kDover needs no governor — the per-core
+  // D-over queues shed and take over locally; their decisions surface
+  // through the same per-core shed_events ledger the fold below collects.
+  const bool rebalance = options.rebalance.mode != RebalanceMode::kOff;
+  const bool shed = options.exec.overload.mode == exp::OverloadMode::kShed;
+  std::optional<LoadMeter> meter;
+  if (rebalance || shed) meter.emplace(fabric, spec, out.partition);
   std::unique_ptr<Rebalancer> rebalancer;
-  if (options.rebalance.mode != RebalanceMode::kOff) {
-    rebalancer = std::make_unique<Rebalancer>(options.rebalance, fabric, spec,
-                                              out.partition, options.strategy);
+  if (rebalance) {
+    rebalancer = std::make_unique<Rebalancer>(options.rebalance, fabric, *meter,
+                                              spec, out.partition,
+                                              options.strategy);
   }
-  // Mode kDover needs no governor — the per-core D-over queues shed and
-  // take over locally; their decisions surface through the same per-core
-  // shed_events ledger the fold below collects.
   std::unique_ptr<OverloadGovernor> governor;
-  if (options.exec.overload.mode == exp::OverloadMode::kShed) {
+  if (shed) {
     governor = std::make_unique<OverloadGovernor>(options.exec.overload,
-                                                  fabric, spec, out.partition);
+                                                  fabric, *meter);
   }
 
-  SchedPolicyEngine* engine_ptr =
-      options.policy == SchedPolicy::kPartitioned ? nullptr : &engine;
-  double threads_wall_seconds = 0.0;
-  if (options.backend == ExecBackend::kThreads) {
-    ThreadedRuntime machine(subs, options.exec, &fabric, engine_ptr,
-                            rebalancer.get(), governor.get());
+  const BoundaryStages stages{
+      options.policy == SchedPolicy::kPartitioned ? nullptr : &engine,
+      meter ? &*meter : nullptr, rebalancer.get(), governor.get()};
+  double wall_seconds = 0.0;
+  {
+    // Scoped so the per-core worlds (fibers, timers) are gone before the
+    // merge builds the combined timeline.
+    MultiVm machine(subs, options.exec, fabric, stages);
     for (std::size_t c = 0;
          c < options.core_trace_sinks.size() && c < subs.size(); ++c) {
       if (options.core_trace_sinks[c] != nullptr) {
@@ -326,21 +320,7 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
       }
     }
     machine.set_metrics(options.metrics);
-    machine.run(spec.horizon, options.quantum);
-    threads_wall_seconds = machine.wall_seconds();
-    out.per_core = machine.collect();
-  } else {
-    MultiVm machine(subs, options.exec, &fabric, engine_ptr,
-                    rebalancer.get(), governor.get());
-    for (std::size_t c = 0;
-         c < options.core_trace_sinks.size() && c < subs.size(); ++c) {
-      if (options.core_trace_sinks[c] != nullptr) {
-        machine.attach_trace_sink(c, options.core_trace_sinks[c]);
-      }
-    }
-    machine.set_metrics(options.metrics);
-    machine.start();
-    machine.run_until(spec.horizon, options.quantum);
+    wall_seconds = machine.run(spec.horizon, options.quantum, options.backend);
     out.per_core = machine.collect();
   }
   out.merged = merge_results(spec, out.partition, out.per_core);
@@ -393,19 +373,18 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
     m.add_counter("mp.overload.takeovers", out.takeovers);
     // Busy fraction of each core over the whole run: entities of one core
     // never overlap, so the per-entity busy windows sum to processor time.
+    // One replay per core folds every entity's windows at once.
     const double horizon_ticks =
         static_cast<double>((spec.horizon - TimePoint::origin()).count());
     for (std::size_t c = 0; c < out.per_core.size(); ++c) {
-      std::int64_t busy = 0;
-      const auto& timeline = out.per_core[c].timeline;
-      for (const auto& who : timeline.entities()) {
-        for (const auto& iv : timeline.busy_intervals(who)) {
-          busy += (iv.end - iv.begin).count();
-        }
+      common::StreamingTraceMetrics busy;
+      for (const auto& r : out.per_core[c].timeline.records()) {
+        busy.record(r.at, r.kind, r.who, r.value, r.note);
       }
+      busy.finish();
       m.set_gauge("mp.core." + std::to_string(c) + ".utilization",
                   horizon_ticks > 0.0
-                      ? static_cast<double>(busy) / horizon_ticks
+                      ? static_cast<double>(busy.busy_ticks()) / horizon_ticks
                       : 0.0);
     }
     if (options.backend == ExecBackend::kThreads) {
@@ -420,12 +399,12 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
         ++served;
         m.observe("threads.response_tu", job.response().to_tu());
       }
-      if (threads_wall_seconds > 0.0) {
+      if (wall_seconds > 0.0) {
         m.set_gauge("threads.events_per_sec",
                     static_cast<double>(out.merged.timeline.records().size()) /
-                        threads_wall_seconds);
+                        wall_seconds);
         m.set_gauge("threads.jobs_per_sec",
-                    static_cast<double>(served) / threads_wall_seconds);
+                    static_cast<double>(served) / wall_seconds);
       }
     }
   }

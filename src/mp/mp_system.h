@@ -3,7 +3,7 @@
 // The flow mirrors the uniprocessor experiment harness, with one extra
 // stage: partition → split into per-core uniprocessor specs → run each core
 // on the chosen engine (the theoretical simulator, or the RTSJ-style VM via
-// MultiVm in lock-step) → merge the per-core results back into one
+// MultiVm on either stepper) → merge the per-core results back into one
 // RunResult whose timeline is namespaced per core ("c0/tau1", "c2/server").
 //
 // Feasibility follows the same shape: partition, then per-core response-time
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/partitioned.h"
@@ -26,25 +25,12 @@
 #include "exp/exec_runner.h"
 #include "model/run_result.h"
 #include "model/spec.h"
+#include "mp/multi_vm.h"
 #include "mp/partition.h"
 #include "mp/rebalance.h"
 #include "mp/sched_policy.h"
 
 namespace tsf::mp {
-
-// Which substrate drives the per-core VMs on the exec path:
-//  * kLockstep — mp::MultiVm, one driver thread advancing every core
-//    sequentially to common epoch boundaries. Bit-reproducible; the oracle.
-//  * kThreads — mp::ThreadedRuntime, one pinned OS worker per core running
-//    concurrently between boundaries, cross-core fires staged through
-//    lock-free MPSC mailboxes and replayed in oracle order at each
-//    boundary. Same virtual-time results (cross-validated by
-//    tests/mp/backend_equivalence_test.cc), plus wall-clock throughput and
-//    tail-latency measurement ("threads.*" metrics).
-enum class ExecBackend { kLockstep, kThreads };
-
-const char* to_string(ExecBackend backend);
-std::optional<ExecBackend> parse_exec_backend(std::string_view name);
 
 // Which engine mp::run drives per core:
 //  * kSim — one sim::Simulator per core (theoretical policies, resumable
@@ -65,10 +51,10 @@ struct MpRunOptions {
   SchedPolicy policy = SchedPolicy::kPartitioned;
   // Execution-engine options (ignored by the simulator path).
   exp::ExecOptions exec;
-  // Execution substrate (exec path only): the lock-step oracle or the
+  // MultiVm's stepper (exec path only): the lock-step oracle or the
   // real-threads measurement backend.
   ExecBackend backend = ExecBackend::kLockstep;
-  // Lock-step epoch of the MultiVm (execution path only).
+  // Epoch length of the MultiVm (execution path only).
   common::Duration quantum = common::Duration::time_units(1);
   // Online load rebalancing at the epoch boundaries (exec path only; the
   // simulator has no fabric and always runs the static partition).
@@ -169,42 +155,5 @@ MpRunResult run(const model::SystemSpec& spec,
                 const MpRunOptions& options = {});
 MpRunResult run(const model::SystemSpec& spec, Partition partition,
                 const MpRunOptions& options = {});
-
-// --- deprecated spellings (pre-unification): the engine is an option now,
-//     not a function name. Thin wrappers; new code calls mp::run. ---
-
-[[deprecated("use mp::run with options.engine = RunEngine::kSim")]]
-inline MpRunResult run_partitioned_sim(const model::SystemSpec& spec,
-                                       const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kSim;
-  return run(spec, o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kExec")]]
-inline MpRunResult run_partitioned_exec(const model::SystemSpec& spec,
-                                        const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kExec;
-  return run(spec, o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kSim")]]
-inline MpRunResult run_partitioned_sim(const model::SystemSpec& spec,
-                                       Partition partition,
-                                       const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kSim;
-  return run(spec, std::move(partition), o);
-}
-
-[[deprecated("use mp::run with options.engine = RunEngine::kExec")]]
-inline MpRunResult run_partitioned_exec(const model::SystemSpec& spec,
-                                        Partition partition,
-                                        const MpRunOptions& options = {}) {
-  MpRunOptions o = options;
-  o.engine = RunEngine::kExec;
-  return run(spec, std::move(partition), o);
-}
 
 }  // namespace tsf::mp

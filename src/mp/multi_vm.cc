@@ -1,50 +1,106 @@
 #include "mp/multi_vm.h"
 
-#include <chrono>
+#include <atomic>
+#include <barrier>
+#include <exception>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "common/diag.h"
 #include "mp/channel.h"
+#include "mp/load_meter.h"
 #include "mp/overload.h"
 #include "mp/rebalance.h"
 #include "mp/sched_policy.h"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+#endif
 
 namespace tsf::mp {
 
 using common::Duration;
 using common::TimePoint;
 
+const char* to_string(ExecBackend backend) {
+  switch (backend) {
+    case ExecBackend::kLockstep:
+      return "lockstep";
+    case ExecBackend::kThreads:
+      return "threads";
+  }
+  return "?";
+}
+
+std::optional<ExecBackend> parse_exec_backend(std::string_view name) {
+  if (name == "lockstep") return ExecBackend::kLockstep;
+  if (name == "threads") return ExecBackend::kThreads;
+  return std::nullopt;
+}
+
+// Pins the calling thread to `core` (modulo the host CPU count). Returns
+// whether the pin took; on platforms without pthread_setaffinity_np the
+// worker simply runs wherever the OS puts it — the backend's correctness
+// never depends on placement, only the wall-clock numbers do.
+static bool pin_current_thread(std::size_t core) {
+#if defined(__linux__)
+  const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
+  if (cpus <= 0) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(static_cast<int>(core % static_cast<std::size_t>(cpus)), &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+#else
+  (void)core;
+  return false;
+#endif
+}
+
+// Core `core`'s completion port: a handler finishing on that core (on the
+// stepping thread or one of its VM's fiber threads) stages the fire into
+// the shared MPSC queue instead of touching the fabric. `next_seq` is plain
+// — only this core's world posts through this port, and within one world
+// exactly one fiber (or the stepping thread) runs at a time.
+struct MultiVm::StagedPort : exp::CrossCorePort {
+  StagedPort(MultiVm* machine, std::size_t core)
+      : machine(machine), core(core) {}
+  TSF_WORKER_PHASE
+  void fire_remote(const std::string& job, TimePoint now) override {
+    machine->staged_.push(StagedFire{job, core, now, next_seq++});
+  }
+  MultiVm* machine;
+  std::size_t core;
+  std::uint64_t next_seq = 0;
+};
+
 MultiVm::MultiVm(std::vector<model::SystemSpec> per_core_specs,
-                 const exp::ExecOptions& options, ChannelFabric* fabric,
-                 SchedPolicyEngine* engine, Rebalancer* rebalancer,
-                 OverloadGovernor* governor)
-    : fabric_(fabric),
-      engine_(engine),
-      rebalancer_(rebalancer),
-      governor_(governor) {
+                 const exp::ExecOptions& options, ChannelFabric& fabric,
+                 BoundaryStages stages)
+    : fabric_(fabric), stages_(stages) {
   TSF_ASSERT(!per_core_specs.empty(), "MultiVm needs at least one core");
-  TSF_ASSERT(engine_ == nullptr || fabric_ != nullptr,
-             "a scheduling-policy engine needs the channel fabric");
-  TSF_ASSERT(rebalancer_ == nullptr || fabric_ != nullptr,
-             "a rebalancer needs the channel fabric");
-  TSF_ASSERT(governor_ == nullptr || fabric_ != nullptr,
-             "an overload governor needs the channel fabric");
-  TSF_ASSERT(fabric_ == nullptr || fabric_->cores() == per_core_specs.size(),
-             "channel fabric sized for " << (fabric ? fabric->cores() : 0)
+  TSF_ASSERT(fabric_.cores() == per_core_specs.size(),
+             "channel fabric sized for " << fabric_.cores()
                                          << " cores, MultiVm has "
                                          << per_core_specs.size());
+  TSF_ASSERT(stages_.meter != nullptr ||
+                 (stages_.rebalancer == nullptr && stages_.governor == nullptr),
+             "the rebalancer and the overload governor read the load meter");
   vms_.reserve(per_core_specs.size());
   systems_.reserve(per_core_specs.size());
+  ports_.reserve(per_core_specs.size());
   for (std::size_t c = 0; c < per_core_specs.size(); ++c) {
     const auto& spec = per_core_specs[c];
     vms_.push_back(
         std::make_unique<rtsj::vm::VirtualMachine>(options.kernel));
+    ports_.push_back(std::make_unique<StagedPort>(this, c));
     systems_.push_back(std::make_unique<exp::ExecSystem>(
-        *vms_.back(), spec, options,
-        fabric_ != nullptr ? fabric_->port(c) : nullptr));
-    if (fabric_ != nullptr) {
-      fabric_->connect(c, systems_.back().get());
-      for (const auto& job : spec.aperiodic_jobs) fabric_->bind(c, job.name);
-    }
+        *vms_.back(), spec, options, ports_.back().get()));
+    fabric_.connect(c, systems_.back().get());
+    for (const auto& job : spec.aperiodic_jobs) fabric_.bind(c, job.name);
   }
 }
 
@@ -60,47 +116,138 @@ void MultiVm::attach_trace_sink(std::size_t core, common::TraceSink* sink) {
   tees_.push_back(std::move(tee));
 }
 
-void MultiVm::start() {
-  for (auto& system : systems_) system->start();
+void MultiVm::on_boundary() noexcept {
+  now_ = common::min(now_ + quantum_, horizon_);
+  if (metrics_ != nullptr) {
+    metrics_->add_counter("mp.epochs");
+    metrics_->observe("mp.epoch.host_seconds",
+                      std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - epoch_begin_)
+                          .count());
+  }
+
+  // Every core is paused at now_, the instant cross-core messages become
+  // visible. Replay the epoch's staged fires in the lock-step post order;
+  // every push happens-before this step, so the drain sees the whole batch.
+  replay_.clear();
+  StagedFire fire;
+  while (staged_.pop(&fire)) replay_.push_back(std::move(fire));
+  // Producers are still paused, so this is the one safe point to publish
+  // the drained nodes back onto the queue's free stack (see mailbox.h).
+  staged_.recycle();
+  sort_replay_order(&replay_);
+  for (auto& f : replay_) fabric_.post_fire(f.from_core, f.job, f.posted);
+
+  // Effects (event fires, releases, server wake-ups) are enqueued now and
+  // processed when the VMs resume into the next epoch. Each stage sees the
+  // queue depths the previous one produced.
+  const std::size_t delivered = fabric_.drain(now_);
+  if (metrics_ != nullptr) {
+    metrics_->add_counter("mp.fabric.deliveries", delivered);
+    metrics_->observe("mp.fabric.drain_size", static_cast<double>(delivered));
+  }
+  if (stages_.engine != nullptr) stages_.engine->on_epoch(now_);
+  if (stages_.meter != nullptr) stages_.meter->sample(now_);
+  if (stages_.rebalancer != nullptr) stages_.rebalancer->on_epoch(now_);
+  if (stages_.governor != nullptr) stages_.governor->on_epoch(now_);
+  epoch_begin_ = std::chrono::steady_clock::now();
 }
 
-void MultiVm::run_until(TimePoint horizon, Duration quantum) {
-  TSF_ASSERT(quantum > Duration::zero(), "lock-step quantum must be positive");
-  while (now_ < horizon) {
-    now_ = common::min(now_ + quantum, horizon);
-    const auto epoch_begin = std::chrono::steady_clock::now();
-    for (auto& vm : vms_) vm->run_until(now_);
-    if (metrics_ != nullptr) {
-      metrics_->add_counter("mp.epochs");
-      metrics_->observe(
-          "mp.epoch.host_seconds",
-          std::chrono::duration_cast<std::chrono::duration<double>>(
-              std::chrono::steady_clock::now() - epoch_begin)
-              .count());
-    }
-    // Every core is paused at now_: the deterministic instant at which
-    // cross-core messages posted in earlier epochs become visible. Effects
-    // (event fires, releases, server wake-ups) are enqueued now and
-    // processed when the VMs resume into the next epoch. The scheduling
-    // policy runs after the drain so pool dispatch and steal decisions see
-    // the queue depths including this boundary's channel deliveries.
-    if (fabric_ != nullptr) {
-      const std::size_t delivered = fabric_->drain(now_);
-      if (metrics_ != nullptr) {
-        metrics_->add_counter("mp.fabric.deliveries", delivered);
-        metrics_->observe("mp.fabric.drain_size",
-                          static_cast<double>(delivered));
-      }
-    }
-    if (engine_ != nullptr) engine_->on_epoch(now_);
-    // The rebalancer runs after the policy engine: its load measurement and
-    // migration decisions see the queue depths *including* this boundary's
-    // channel deliveries and policy moves.
-    if (rebalancer_ != nullptr) rebalancer_->on_epoch(now_);
-    // The overload governor goes last of all: shedding is the final resort,
-    // taken only on backlog migration could not (or chose not to) place.
-    if (governor_ != nullptr) governor_->on_epoch(now_);
+double MultiVm::run(TimePoint horizon, Duration quantum, ExecBackend backend) {
+  TSF_ASSERT(quantum > Duration::zero(), "epoch quantum must be positive");
+  TSF_ASSERT(!ran_, "MultiVm::run is one-shot");
+  ran_ = true;
+  horizon_ = horizon;
+  quantum_ = quantum;
+
+  const auto run_begin = std::chrono::steady_clock::now();
+  std::size_t pinned = 0;
+  if (backend == ExecBackend::kThreads) {
+    pinned = step_threads();
+  } else {
+    step_lockstep();
   }
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    run_begin)
+          .count();
+  if (metrics_ != nullptr && backend == ExecBackend::kThreads) {
+    metrics_->set_gauge("threads.wall_seconds", wall_seconds);
+    metrics_->set_gauge("threads.workers_pinned", static_cast<double>(pinned));
+  }
+  return wall_seconds;
+}
+
+void MultiVm::step_lockstep() {
+  for (auto& system : systems_) system->start();
+  epoch_begin_ = std::chrono::steady_clock::now();
+  while (now_ < horizon_) {
+    const TimePoint next = common::min(now_ + quantum_, horizon_);
+    for (auto& vm : vms_) vm->run_until(next);
+    on_boundary();
+  }
+}
+
+std::size_t MultiVm::step_threads() {
+  const std::size_t cores = vms_.size();
+  std::atomic<std::size_t> pinned{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;  // the first error any worker raised
+  // Whether the workers stop after the phase that just completed. Only a
+  // barrier's completion step writes it — every worker is parked or gone
+  // then, so it reads first_error unlocked — and every survivor reads it
+  // before it next arrives, so all agree on the abort phase: an error in a
+  // later epoch cannot make one worker leave while the others wait for it.
+  bool stop = false;
+  const auto latch = [&]() noexcept { stop = first_error != nullptr; };
+  std::barrier start_barrier(static_cast<std::ptrdiff_t>(cores), latch);
+  std::barrier epoch_barrier(static_cast<std::ptrdiff_t>(cores),
+                             [&]() noexcept {
+                               on_boundary();
+                               latch();
+                             });
+  // Runs one step of a worker's world. An error is kept (the first one
+  // wins) and stops every worker at the next barrier; returns whether
+  // `step` completed.
+  const auto guarded = [&](auto&& step) {
+    try {
+      step();
+      return true;
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+      return false;
+    }
+  };
+  epoch_begin_ = std::chrono::steady_clock::now();
+
+  std::vector<std::thread> workers;
+  workers.reserve(cores);
+  for (std::size_t c = 0; c < cores; ++c) {
+    workers.emplace_back([&, c] {
+      if (pin_current_thread(c)) pinned.fetch_add(1, std::memory_order_relaxed);
+      // start() on the worker so the world's fiber threads are spawned
+      // here and inherit the affinity; the start barrier guarantees every
+      // endpoint is armed before any boundary can deliver into it, and that
+      // a world failing to start stops every worker before the first epoch.
+      guarded([&] { systems_[c]->start(); });
+      start_barrier.arrive_and_wait();
+      TimePoint now = TimePoint::origin();
+      while (now < horizon_ && !stop) {
+        now = common::min(now + quantum_, horizon_);
+        if (!guarded([&] { vms_[c]->run_until(now); })) {
+          // Mid-horizon abort: arrive_and_drop completes the current phase
+          // for the others, and they unwind after it.
+          epoch_barrier.arrive_and_drop();
+          return;
+        }
+        epoch_barrier.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  if (first_error) std::rethrow_exception(first_error);
+  return pinned.load();
 }
 
 std::vector<model::RunResult> MultiVm::collect() {

@@ -1,109 +1,145 @@
-// MultiVm — the partitioned multi-core execution substrate.
+// MultiVm — the multi-core epoch driver.
 //
 // Partitioned scheduling has no cross-core preemption, so a multi-core
 // machine is modelled as one deterministic rtsj::vm::VirtualMachine per
-// core. MultiVm advances all cores in lock-step virtual time: every core is
-// driven to the same sequence of epoch boundaries (multiples of `quantum`),
-// which keeps multi-core runs bit-reproducible — the merged trace depends
-// only on the specs, never on host scheduling — and gives future
-// cross-core-communication PRs a synchronization point that is already
-// deterministic.
+// core, each hosting one exp::ExecSystem (the same lowering run_exec uses).
+// MultiVm drives every core to the same epoch boundaries (multiples of
+// `quantum`) and runs one boundary step there — the only instant at which
+// cross-core effects enter a core. A handler's cross-core fire is staged
+// mid-epoch (mp/mailbox.h) and replayed into the ChannelFabric by that step
+// in (from_core, per-core seq) order.
 //
-// Each core hosts one exp::ExecSystem (the same lowering run_exec uses), so
-// a MultiVm run of N single-core specs is observationally identical to N
-// independent run_exec calls — asserted by tests/mp/multi_vm_test.cc.
+// Within an epoch each core is a closed deterministic world, so both
+// steppers (ExecBackend) produce bit-identical traces, outcomes and channel
+// ledgers, and a run of N single-core specs equals N independent run_exec
+// calls (tests/mp/multi_vm_test.cc). The threads stepper adds what the
+// oracle cannot: wall-clock measurement ("threads.*" metrics).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/metrics_registry.h"
 #include "common/time.h"
 #include "common/trace_sink.h"
 #include "exp/exec_runner.h"
 #include "model/run_result.h"
 #include "model/spec.h"
+#include "mp/mailbox.h"
 #include "rtsj/vm/vm.h"
 
 namespace tsf::mp {
 
 class ChannelFabric;
+class LoadMeter;
 class OverloadGovernor;
 class Rebalancer;
 class SchedPolicyEngine;
 
+// Which stepper advances the per-core VMs between epoch boundaries (spec
+// key `[run] backend`):
+//  * kLockstep — one driver thread runs every core's VM in core order. The
+//    oracle: host scheduling never reaches the results.
+//  * kThreads — one OS worker per core, pinned where the platform allows,
+//    runs its VM concurrently; the workers meet at a std::barrier whose
+//    completion function runs the boundary step while they are parked.
+enum class ExecBackend { kLockstep, kThreads };
+
+const char* to_string(ExecBackend backend);
+std::optional<ExecBackend> parse_exec_backend(std::string_view name);
+
+// The optional boundary stages, run in this order after the fabric drain:
+// the scheduling policy (pool dispatch under global, the steal pass under
+// semi), then the load meter's one sample, then the rebalancer and the
+// overload governor that read it. Shedding goes last: it is the final
+// resort once migration had its chance to place the backlog. A rebalancer
+// or governor needs the meter; every stage must outlive the MultiVm.
+struct BoundaryStages {
+  SchedPolicyEngine* engine = nullptr;
+  LoadMeter* meter = nullptr;
+  Rebalancer* rebalancer = nullptr;
+  OverloadGovernor* governor = nullptr;
+};
+
 class MultiVm {
  public:
-  // One VM + ExecSystem per spec. Every spec needs a finite horizon.
-  //
-  // With a fabric, each core's ExecSystem posts outbound cross-core traffic
-  // through fabric->port(core), every job in the per-core specs is bound
-  // into the fabric's routing table, and run_until drains the fabric's
-  // mailboxes at every epoch boundary (while all VMs are paused there) —
-  // the delivery instant of remote fires and migrations. The fabric must
-  // outlive the MultiVm.
-  //
-  // With an engine (which requires a fabric), the scheduling policy's
-  // boundary work — shared-pool dispatch under global, the steal pass under
-  // semi-partitioned — runs right after every fabric drain, at the same
-  // deterministic pause. The engine must outlive the MultiVm too.
-  //
-  // With a rebalancer (which also requires a fabric), the online
-  // load-rebalancing pass (mp/rebalance.h) runs after the drain and the
-  // policy engine, so it sees the queue depths including this boundary's
-  // deliveries. It must outlive the MultiVm.
-  //
-  // With a governor (which also requires a fabric), the overload shed pass
-  // (mp/overload.h) runs last of all — after the rebalancer, so shedding is
-  // the final resort once migration had its chance to place the backlog.
-  explicit MultiVm(std::vector<model::SystemSpec> per_core_specs,
-                   const exp::ExecOptions& options,
-                   ChannelFabric* fabric = nullptr,
-                   SchedPolicyEngine* engine = nullptr,
-                   Rebalancer* rebalancer = nullptr,
-                   OverloadGovernor* governor = nullptr);
+  // One VM + ExecSystem per spec; every spec needs a finite horizon. Each
+  // ExecSystem is connected to `fabric` as core k's endpoint, and every job
+  // in the per-core specs is bound into the fabric's routing table. The
+  // fabric must outlive the MultiVm.
+  MultiVm(std::vector<model::SystemSpec> per_core_specs,
+          const exp::ExecOptions& options, ChannelFabric& fabric,
+          BoundaryStages stages = {});
   ~MultiVm();
   MultiVm(const MultiVm&) = delete;
   MultiVm& operator=(const MultiVm&) = delete;
 
-  std::size_t cores() const { return vms_.size(); }
-  rtsj::vm::VirtualMachine& vm(std::size_t core) { return *vms_[core]; }
-
   // Streams core `core`'s trace into `sink` as well as its in-memory
   // timeline (the VM's emission is replaced with an owned tee over both).
-  // Call before start(); the sink must outlive the MultiVm. One external
-  // sink per core — a later call for the same core supersedes the earlier.
+  // Call before run(); the sink must outlive the MultiVm. One external sink
+  // per core — a later call for the same core supersedes the earlier.
   void attach_trace_sink(std::size_t core, common::TraceSink* sink);
 
-  // Surfaces runtime counters during run_until: "mp.epochs",
-  // "mp.epoch.host_seconds", and with a fabric "mp.fabric.deliveries" /
-  // "mp.fabric.drain_size". The registry must outlive the run.
+  // Surfaces runtime counters during run(): "mp.epochs",
+  // "mp.epoch.host_seconds", "mp.fabric.deliveries", "mp.fabric.drain_size",
+  // and under kThreads the gauges "threads.wall_seconds" and
+  // "threads.workers_pinned". Only touched from the boundary step and after
+  // the stepper finishes — never concurrently. Must outlive the run.
   void set_metrics(common::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // Arms every core's world. Call once, before run_until.
-  void start();
+  // One-shot: starts every core's world (under kThreads on its own worker,
+  // so the world's fiber threads inherit the affinity), then steps every
+  // core to `horizon` in epochs of `quantum` (the last one clipped) with the
+  // boundary step after each. Under kThreads the first error a core's world
+  // raises stops every worker after the current epoch (or before the first,
+  // if a world fails to start) and is rethrown once all have unwound; under
+  // kLockstep it propagates straight out. Returns the wall-clock seconds
+  // spent stepping.
+  double run(common::TimePoint horizon,
+             common::Duration quantum = common::Duration::time_units(1),
+             ExecBackend backend = ExecBackend::kLockstep);
 
-  // Advances every core to `horizon` in lock-step epochs of `quantum`
-  // (the last epoch is clipped). Resumable like VirtualMachine::run_until.
-  void run_until(common::TimePoint horizon,
-                 common::Duration quantum = common::Duration::time_units(1));
-
-  // Per-core results, in core order. Destructive; call once after the run.
+  // Per-core results, in core order. Destructive; call once after run().
   std::vector<model::RunResult> collect();
 
  private:
-  // Destruction order matters: systems_ (fibers, timers) must go before
-  // the VMs they run on, so vms_ is declared first.
+  struct StagedPort;
+
+  void step_lockstep();
+  // Returns how many workers the platform pinned (none on hosts without
+  // pthread_setaffinity_np).
+  std::size_t step_threads();
+  // The boundary step of both steppers, run while every VM is paused:
+  // staged-fire replay, fabric drain, the BoundaryStages, epoch metrics.
+  TSF_BARRIER_ONLY
+  void on_boundary() noexcept;
+
+  // Destruction order matters: systems_ (fibers, timers) must go before the
+  // VMs they run on, so vms_ is declared first.
   std::vector<std::unique_ptr<rtsj::vm::VirtualMachine>> vms_;
   std::vector<std::unique_ptr<exp::ExecSystem>> systems_;
-  ChannelFabric* fabric_ = nullptr;
-  SchedPolicyEngine* engine_ = nullptr;
-  Rebalancer* rebalancer_ = nullptr;
-  OverloadGovernor* governor_ = nullptr;
+  std::vector<std::unique_ptr<StagedPort>> ports_;
+  ChannelFabric& fabric_;
+  BoundaryStages stages_;
   common::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<common::TeeSink>> tees_;
+
+  // Every core's port pushes here; only the boundary step drains it.
+  MpscQueue<StagedFire> staged_;
+  std::vector<StagedFire> replay_;  // reused per-boundary batch buffer
+
+  // Epoch cursor of the boundary step; threads-stepper workers track the
+  // identical sequence locally (same arithmetic, same inputs).
   common::TimePoint now_ = common::TimePoint::origin();
+  common::TimePoint horizon_ = common::TimePoint::origin();
+  common::Duration quantum_ = common::Duration::time_units(1);
+  std::chrono::steady_clock::time_point epoch_begin_;
+  bool ran_ = false;
 };
 
 }  // namespace tsf::mp

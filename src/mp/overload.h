@@ -1,20 +1,19 @@
-// Utilization-based admission control at the lock-step epoch boundaries —
-// the `[run] overload = shed` policy.
+// Utilization-based admission control at the epoch boundaries — the
+// `[run] overload = shed` policy.
 //
-// The governor runs inside the MultiVm / ThreadedRuntime boundary, after the
-// fabric drain, the scheduling-policy engine and the rebalancer, while every
-// per-core VM is paused — so its decisions depend only on (specs, quantum),
-// never on host scheduling. Per epoch it measures each core's utilization
-// exactly the way the rebalancer does (packed periodic load + offered
-// aperiodic rate over a sliding window of `period`, compensated for work
-// migrated in by steals/rebalances); when a core's measured utilization
-// exceeds `threshold`, the pass drops pending *sheddable* work — firm
-// (deadline-carrying), released before the boundary, not being served — in
-// lowest-value-density-first order until the overshoot's worth of declared
-// cost is gone. Every drop goes through CoreEndpoint::shed_exact, which
-// records the shed outcome, the kShed trace record and the exactly-once
-// ledger entry the invariant checker reconciles
-// (FORBIDDEN_BEHAVIOR_CATALOG.md).
+// The governor runs last in the MultiVm boundary step, after the fabric
+// drain, the scheduling-policy engine, the load meter's sample and the
+// rebalancer, while every per-core VM is paused — so its decisions depend
+// only on (specs, quantum), never on host scheduling. Per epoch it reads
+// each core's measured utilization from the shared mp::LoadMeter over a
+// sliding window of `period` (the measurement the rebalancer reads over its
+// own period); when a core's measured utilization exceeds `threshold`, the
+// pass drops pending *sheddable* work — firm (deadline-carrying), released
+// before the boundary, not being served — in lowest-value-density-first
+// order until the overshoot's worth of declared cost is gone. Every drop
+// goes through CoreEndpoint::shed_exact, which records the shed outcome, the
+// kShed trace record and the exactly-once ledger entry the invariant checker
+// reconciles (FORBIDDEN_BEHAVIOR_CATALOG.md).
 //
 // Passes are rate-limited to one per `period`, sharing the knob with the
 // measurement window — the spec's `overload_period`.
@@ -22,9 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/annotations.h"
@@ -32,11 +28,11 @@
 #include "common/time.h"
 #include "exp/overload.h"
 #include "model/spec.h"
-#include "mp/partition.h"
 
 namespace tsf::mp {
 
 class ChannelFabric;
+class LoadMeter;
 struct MpRunResult;
 
 // Replays a finished run through the forbidden-behavior checker
@@ -50,48 +46,31 @@ std::vector<common::InvariantChecker::Violation> check_overload_invariants(
 
 class OverloadGovernor {
  public:
-  // `fabric`, `spec` and `partition` must outlive the governor; the
-  // partition must be the one the per-core specs were split from. Only mode
-  // kShed needs a governor (kDover sheds inside the per-core queues).
+  // `fabric` and `meter` must outlive the governor. Only mode kShed needs a
+  // governor (kDover sheds inside the per-core queues).
   OverloadGovernor(exp::OverloadConfig config, ChannelFabric& fabric,
-                   const model::SystemSpec& spec, const Partition& partition);
+                   LoadMeter& meter);
 
-  // The boundary hook: sample loads, then (rate-limited) shed overshoot.
+  // The boundary hook: read the meter, then (rate-limited) shed overshoot.
   // Invoked last at every epoch boundary, while every VM is paused there.
   TSF_BARRIER_ONLY
   void on_epoch(common::TimePoint boundary);
 
   // --- results ---
   std::uint64_t passes() const { return passes_; }
-  std::uint64_t sheds() const { return sheds_; }
   const std::vector<double>& measured_utilization() const {
     return measured_;
   }
 
  private:
-  struct Sample {
-    common::TimePoint at;
-    common::Duration released_cost;
-  };
-
-  void sample_loads(common::TimePoint boundary);
-  bool shed_pass(common::TimePoint boundary);
+  bool shed_pass();
 
   exp::OverloadConfig config_;
   ChannelFabric& fabric_;
-  std::vector<double> periodic_util_;
-  std::vector<bool> serves_;
-  std::vector<std::deque<Sample>> window_;
+  LoadMeter& meter_;
   std::vector<double> measured_;
-  // Same released-cost compensation as the rebalancer: declared cost moved
-  // *into* each core by a re-releasing delivery (kSteal / kRebalance) is
-  // not freshly offered load.
-  std::vector<common::Duration> migrated_in_;
-  std::map<std::string, common::Duration> declared_;
-  std::size_t ledger_seen_ = 0;
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;
-  std::uint64_t sheds_ = 0;
 };
 
 }  // namespace tsf::mp

@@ -5,6 +5,7 @@
 
 #include "common/diag.h"
 #include "mp/channel.h"
+#include "mp/load_meter.h"
 
 namespace tsf::mp {
 
@@ -31,10 +32,11 @@ std::optional<RebalanceMode> parse_rebalance_mode(const std::string& text) {
 }
 
 Rebalancer::Rebalancer(RebalanceConfig config, ChannelFabric& fabric,
-                       const model::SystemSpec& spec,
+                       LoadMeter& meter, const model::SystemSpec& spec,
                        const Partition& partition, PackingStrategy strategy)
     : config_(std::move(config)),
       fabric_(fabric),
+      meter_(meter),
       spec_(spec),
       packer_(strategy),
       rejected_(partition.rejected) {
@@ -43,70 +45,12 @@ Rebalancer::Rebalancer(RebalanceConfig config, ChannelFabric& fabric,
   TSF_ASSERT(config_.drift > 0.0, "rebalance_drift must be positive");
   TSF_ASSERT(config_.period > Duration::zero(),
              "rebalance_period must be positive");
-  TSF_ASSERT(partition.cores.size() == fabric_.cores(),
-             "partition and fabric disagree on the core count");
-  periodic_util_.reserve(partition.cores.size());
   packed_util_.reserve(partition.cores.size());
   for (const auto& core : partition.cores) {
-    double u = 0.0;
-    for (std::size_t i : core.tasks) u += spec_.periodic_tasks[i].utilization();
-    periodic_util_.push_back(u);
     packed_util_.push_back(core.utilization);
-    serves_.push_back(core.has_server);
   }
-  measured_ = periodic_util_;
-  window_.resize(partition.cores.size());
-  migrated_in_.assign(partition.cores.size(), Duration::zero());
-  for (const auto& job : spec_.aperiodic_jobs) {
-    declared_[job.name] = job.effective_declared_cost();
-  }
-}
-
-void Rebalancer::sample_loads(TimePoint boundary) {
-  // Work moved *into* a core re-releases there (deliver_job), so its raw
-  // released_cost would count it as freshly offered load — and a pass
-  // would manufacture drift at the move's own target, bouncing the same
-  // backlog right back. The fabric ledger names every such re-release —
-  // this rebalancer's kRebalance migrations *and* the semi policy's
-  // kSteal moves — so the compensation covers both. kPool / kMigrate /
-  // kFire deliveries are a job's first release anywhere and stay counted;
-  // so do kRebalance admissions (from_core == kNoCore, a periodic task).
-  const auto& ledger = fabric_.deliveries();
-  for (; ledger_seen_ < ledger.size(); ++ledger_seen_) {
-    const auto& d = ledger[ledger_seen_];
-    if (!d.ok) continue;
-    if (d.kind != exp::ChannelDelivery::Kind::kSteal &&
-        d.kind != exp::ChannelDelivery::Kind::kRebalance) {
-      continue;
-    }
-    if (d.from_core == exp::ChannelDelivery::kNoCore ||
-        d.to_core == exp::ChannelDelivery::kNoCore) {
-      continue;
-    }
-    const auto it = declared_.find(d.job);
-    if (it != declared_.end()) migrated_in_[d.to_core] += it->second;
-  }
-
-  for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
-    const Duration released =
-        endpoint != nullptr ? endpoint->released_cost() - migrated_in_[c]
-                            : Duration::zero();
-    auto& window = window_[c];
-    window.push_back({boundary, released});
-    // Keep the newest sample that is at least one period old as the window
-    // base, so the measured rate spans the full period once warmed up.
-    while (window.size() >= 2 && window[1].at + config_.period <= boundary) {
-      window.pop_front();
-    }
-    const Sample& base = window.front();
-    const Duration span = boundary - base.at;
-    const double aperiodic_rate =
-        span > Duration::zero()
-            ? (released - base.released_cost).to_tu() / span.to_tu()
-            : 0.0;
-    measured_[c] = periodic_util_[c] + aperiodic_rate;
-  }
+  meter_.retain(config_.period);
+  meter_.measure(config_.period, &measured_);
 }
 
 bool Rebalancer::migrate_pass(TimePoint boundary) {
@@ -157,7 +101,8 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   std::vector<double> bins;
   bins.reserve(fabric_.cores());
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
-    const bool serving = serves_[c] && fabric_.endpoint(c) != nullptr;
+    const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
+    const bool serving = endpoint != nullptr && endpoint->serves_aperiodics();
     bins.push_back(serving ? measured_[c] : 2.0);
   }
   const double service_period =
@@ -185,8 +130,10 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
         movable[i].stolen.job.name, movable[i].stolen.release);
     if (!stolen.has_value()) continue;  // raced away (defensive; VMs paused)
     fabric_.endpoint(target)->deliver_job(stolen->job, stolen->release);
-    // migrated_in_ is updated from the ledger record below at the next
-    // sample — exactly when the re-release shows up in released_cost.
+    // The meter compensates for this re-release from the ledger record
+    // below at its next sample: the target's released_cost and its
+    // migrated-in cost grow by the same declared cost, so the move is
+    // invisible to every reader of this boundary's sample.
     exp::ChannelDelivery d;
     d.kind = exp::ChannelDelivery::Kind::kRebalance;
     d.job = stolen->job.name;
@@ -240,9 +187,10 @@ bool Rebalancer::admit_pass(TimePoint boundary) {
     task.affinity = placement[k];
     task.start = boundary;  // releases begin at the admission instant
     if (!fabric_.endpoint(target)->admit_task(task)) continue;
-    // The admitted task is part of the mapping now: both the measured and
-    // the packed picture carry it, so it creates no phantom drift.
-    periodic_util_[target] += rejection.item.utilization;
+    // The admitted task is part of the mapping now: the meter (and so the
+    // overload governor), the measured and the packed picture all carry
+    // it, so it creates no phantom drift.
+    meter_.admit(target, rejection.item.utilization);
     packed_util_[target] += rejection.item.utilization;
     measured_[target] += rejection.item.utilization;
     exp::ChannelDelivery d;
@@ -268,7 +216,7 @@ bool Rebalancer::admit_pass(TimePoint boundary) {
 }
 
 void Rebalancer::on_epoch(TimePoint boundary) {
-  sample_loads(boundary);
+  meter_.measure(config_.period, &measured_);
   if (boundary - last_pass_ < config_.period) return;
   bool ran = migrate_pass(boundary);
   if (config_.mode == RebalanceMode::kAdmit && !rejected_.empty()) {

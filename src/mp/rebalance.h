@@ -1,4 +1,4 @@
-// Online load rebalancing at the lock-step epoch boundaries of mp::MultiVm.
+// Online load rebalancing at the epoch boundaries of mp::MultiVm.
 //
 // The offline partitioner (mp/partition.h) packs by *declared* utilization
 // and then trusts the mapping for the whole run. Real traffic drifts: a
@@ -9,14 +9,15 @@
 // open problem for parallel real-time runtimes).
 //
 // The Rebalancer closes both gaps *online*, and deterministically: it runs
-// inside the MultiVm epoch boundary — after the ChannelFabric drain and the
-// scheduling-policy engine, while every per-core VM is paused — so its
-// decisions depend only on (specs, quantum), never on host scheduling.
+// inside the MultiVm epoch boundary — after the ChannelFabric drain, the
+// scheduling-policy engine and the load meter's sample, while every per-core
+// VM is paused — so its decisions depend only on (specs, quantum), never on
+// host scheduling.
 //
-// Per epoch it samples each core's cumulative released aperiodic cost
-// (CoreEndpoint::released_cost) and derives a *measured* utilization over a
-// sliding window of `period`: the core's packed periodic load plus the
-// offered aperiodic rate. Two triggers, gated by the mode:
+// Per epoch it reads each core's *measured* utilization from the shared
+// mp::LoadMeter over a sliding window of `period`: the core's packed
+// periodic load plus the offered aperiodic rate. Two triggers, gated by the
+// mode:
 //
 //  * drift (modes kDrift and kAdmit) — when some core's measured
 //    utilization exceeds its packed utilization by more than `drift`, the
@@ -47,8 +48,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,6 +60,7 @@
 namespace tsf::mp {
 
 class ChannelFabric;
+class LoadMeter;
 
 enum class RebalanceMode {
   kOff,    // PR 1 behaviour: the offline mapping stands for the whole run
@@ -84,17 +84,17 @@ struct RebalanceConfig {
 
 class Rebalancer {
  public:
-  // `fabric`, `spec` and `partition` must outlive the Rebalancer; the
-  // partition must be the one the MultiVm's per-core specs were split from.
-  // `strategy` is re-used for the online re-pack, so offline and online
-  // placement follow the same heuristic.
-  Rebalancer(RebalanceConfig config, ChannelFabric& fabric,
+  // `fabric`, `meter`, `spec` and `partition` must outlive the Rebalancer;
+  // the partition must be the one the MultiVm's per-core specs were split
+  // from. `strategy` is re-used for the online re-pack, so offline and
+  // online placement follow the same heuristic.
+  Rebalancer(RebalanceConfig config, ChannelFabric& fabric, LoadMeter& meter,
              const model::SystemSpec& spec, const Partition& partition,
              PackingStrategy strategy);
 
-  // The boundary hook: sample loads, then (rate-limited) migrate / admit.
-  // Invoked by MultiVm::run_until after the fabric drain and the
-  // scheduling-policy engine, while every VM is paused at `boundary`.
+  // The boundary hook: read the meter, then (rate-limited) migrate / admit.
+  // Invoked by MultiVm's boundary step after the meter's sample, while
+  // every VM is paused at `boundary`.
   TSF_BARRIER_ONLY
   void on_epoch(common::TimePoint boundary);
 
@@ -111,40 +111,18 @@ class Rebalancer {
   }
 
  private:
-  struct Sample {
-    common::TimePoint at;
-    common::Duration released_cost;
-  };
-
-  void sample_loads(common::TimePoint boundary);
   bool migrate_pass(common::TimePoint boundary);
   bool admit_pass(common::TimePoint boundary);
 
   RebalanceConfig config_;
   ChannelFabric& fabric_;
+  LoadMeter& meter_;
   const model::SystemSpec& spec_;
   Partitioner packer_;
-  // Static per-core load the window measurement rides on: packed periodic
-  // tasks (+ tasks admitted online later). The aperiodic side is measured,
-  // not assumed.
-  std::vector<double> periodic_util_;
   // The offline packer's verdict per core (tasks + server replica) — the
   // baseline that "drift" is measured against.
   std::vector<double> packed_util_;
-  std::vector<bool> serves_;
-  std::vector<std::deque<Sample>> window_;
   std::vector<double> measured_;
-  // Declared cost moved *into* each core by a re-releasing delivery — a
-  // kRebalance migration or a semi-policy kSteal (tracked through the
-  // fabric ledger, so the policy engine's moves are covered too). The
-  // re-release inflates the receiver's released_cost, so the load
-  // measurement subtracts it: moved backlog is not freshly offered work,
-  // and must not manufacture drift at its own target. kPool, kMigrate and
-  // kFire deliveries are a job's *first* release on any core and count as
-  // genuinely offered load.
-  std::vector<common::Duration> migrated_in_;
-  std::map<std::string, common::Duration> declared_;  // job -> declared cost
-  std::size_t ledger_seen_ = 0;  // fabric deliveries already accounted
   std::vector<Rejection> rejected_;  // offline rejections not yet admitted
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;

@@ -3,7 +3,7 @@
 // The partitioned baseline (PR 1) statically maps every job to one core; a
 // backed-up pending queue on one core cannot be helped by an idle neighbour.
 // This layer adds the two classic alternatives for comparison, both riding
-// the deterministic lock-step epochs of mp::MultiVm:
+// the deterministic epoch boundaries of mp::MultiVm:
 //
 //  * global — unpinned aperiodic jobs bypass the static split and enter one
 //    shared priority-ordered ready pool. At every epoch boundary the pool is
@@ -56,8 +56,8 @@ std::optional<SchedPolicy> parse_sched_policy(const std::string& text);
 // exp::schedules_before (cross_core.h) — shared with the ExecSystem side.
 
 // The epoch-boundary scheduler. Owned by mp::run (exec engine) for the
-// non-partitioned policies and invoked by MultiVm::run_until right after the
-// fabric drain at every boundary (all VMs paused, queue depths stable).
+// non-partitioned policies and invoked by MultiVm's boundary step right
+// after the fabric drain (all VMs paused, queue depths stable).
 // Records every pool dispatch / steal as a ChannelDelivery through the
 // fabric, so the existing metrics and determinism machinery see them.
 class SchedPolicyEngine {

@@ -102,7 +102,7 @@ TEST(Accumulator, ExactSumLargeNSmallIncrements) {
 TEST(QuantileReservoir, ExactQuantilesWhenUnbounded) {
   QuantileReservoir r;
   for (int i = 100; i >= 1; --i) r.add(static_cast<double>(i));
-  EXPECT_TRUE(r.exact());
+  EXPECT_EQ(r.count(), 100u);
   EXPECT_DOUBLE_EQ(r.quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(r.p50(), 50.0);
   EXPECT_DOUBLE_EQ(r.p95(), 95.0);
@@ -114,21 +114,6 @@ TEST(QuantileReservoir, EmptyIsZero) {
   QuantileReservoir r;
   EXPECT_TRUE(r.empty());
   EXPECT_DOUBLE_EQ(r.p99(), 0.0);
-}
-
-TEST(QuantileReservoir, BoundedReservoirIsDeterministicAndSane) {
-  QuantileReservoir a(256), b(256);
-  for (int i = 0; i < 100000; ++i) {
-    a.add(static_cast<double>(i % 1000));
-    b.add(static_cast<double>(i % 1000));
-  }
-  EXPECT_FALSE(a.exact());
-  // Deterministic: two reservoirs fed the same stream agree exactly.
-  EXPECT_DOUBLE_EQ(a.p50(), b.p50());
-  EXPECT_DOUBLE_EQ(a.p99(), b.p99());
-  // Sane: the sampled quantiles of uniform(0..999) land near the truth.
-  EXPECT_NEAR(a.p50(), 500.0, 150.0);
-  EXPECT_GT(a.p99(), 800.0);
 }
 
 TEST(QuantileReservoir, InterpolatesNearestRankLikeMetrics) {

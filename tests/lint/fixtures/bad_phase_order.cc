@@ -1,4 +1,4 @@
-// Seeded phase-order violation in the shape of mp/threaded_runtime.cc: the
+// Seeded phase-order violation in the shape of mp/multi_vm.cc: the
 // worker-phase completion port posts straight into the fabric instead of
 // staging the fire for the barrier. The call is a two-hop member chain
 // (runtime->fabric_.post_fire), so convicting it requires the analyzer to

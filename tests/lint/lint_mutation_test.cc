@@ -138,7 +138,7 @@ TEST(LintMutation, DetUnorderedIterFiresByName) {
 
 TEST(LintMutation, PhaseOrderConvictsSeededEdgeThroughMemberChain) {
   // The seeded edge is runtime->fabric_.post_fire — a two-hop member chain
-  // in the shape of mp/threaded_runtime.cc, so this also locks in the
+  // in the shape of mp/multi_vm.cc, so this also locks in the
   // receiver-aware call resolution.
   const LintRun run = run_lint({"bad_phase_order.cc"});
   EXPECT_EQ(run.exit_code, 1);
@@ -165,6 +165,24 @@ TEST(LintMutation, PhaseOrderAllowlistWaivesExactlyTheSeededEdge) {
   EXPECT_EQ(run.exit_code, 0)
       << "the reviewed allowlist entry must silence the seeded edge";
   EXPECT_EQ(finding_count(run), 0u);
+}
+
+TEST(LintMutation, AllowlistEntryThatWaivesNothingIsAFinding) {
+  // The staged twin has no worker->barrier edge, so the fixture waiver
+  // excuses nothing: a stale entry must not sit silently in the list.
+  const LintRun run =
+      run_lint({"good_phase_order.cc"}, "phase_order.allow");
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_EQ(rules_of(run), std::set<std::string>{"allow-unused"});
+  const JsonValue* findings = run.report.find("findings");
+  ASSERT_NE(findings, nullptr);
+  ASSERT_EQ(findings->as_array().size(), 1u);
+  const JsonValue& f = findings->as_array()[0];
+  const std::string file = f.find("file")->as_string();
+  EXPECT_NE(file.find("phase_order.allow"), std::string::npos) << file;
+  EXPECT_EQ(f.find("line")->as_number(), 3.0);
+  EXPECT_NE(f.find("message")->as_string().find("FakePort::fire_remote"),
+            std::string::npos);
 }
 
 TEST(LintMutation, SuppressionMisuseIsItselfAFinding) {

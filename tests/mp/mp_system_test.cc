@@ -422,6 +422,36 @@ TEST(MpRun, ScenarioPeriodicsMeetDeadlinesOnAllCores) {
   }
 }
 
+// With a registry attached, mp.core.<k>.utilization is core k's busy
+// fraction of the horizon: the busy intervals of all its entities, summed.
+TEST(MpRun, UtilizationGaugeIsEachCoresBusyFraction) {
+  const auto spec = scenario_spec(2);
+  for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
+    common::MetricsRegistry registry;
+    MpRunOptions options;
+    options.backend = backend;
+    options.metrics = &registry;
+    const auto run = mp::run(spec, options);
+    const double horizon_ticks =
+        static_cast<double>((spec.horizon - TimePoint::origin()).count());
+    ASSERT_EQ(run.per_core.size(), 2u);
+    for (std::size_t c = 0; c < run.per_core.size(); ++c) {
+      const auto& timeline = run.per_core[c].timeline;
+      std::int64_t busy = 0;
+      for (const auto& who : timeline.entities()) {
+        for (const auto& iv : timeline.busy_intervals(who)) {
+          busy += (iv.end - iv.begin).count();
+        }
+      }
+      EXPECT_GT(busy, 0) << "core " << c << " never ran";
+      EXPECT_EQ(registry.gauge("mp.core." + std::to_string(c) +
+                               ".utilization"),
+                static_cast<double>(busy) / horizon_ticks)
+          << to_string(backend) << " core " << c;
+    }
+  }
+}
+
 // Partitioned sim of a 1-core spec must match the plain simulator: the mp
 // layer adds routing and namespacing, not behaviour.
 TEST(MpRun, OneCorePartitionedSimMatchesUniprocessorSim) {

@@ -1,15 +1,17 @@
-// MultiVm lock-step semantics: advancing N per-core VMs in shared epochs
-// must be observationally identical to running each core's VM on its own,
-// and must be insensitive to the epoch size.
+// MultiVm epoch semantics: advancing N per-core VMs to shared epoch
+// boundaries must be observationally identical to running each core's VM on
+// its own, and must be insensitive to the epoch size — on both steppers.
 #include "mp/multi_vm.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/trace.h"
+#include "mp/channel.h"
 #include "mp/mp_system.h"
 #include "mp/partition.h"
 #include "support/artifact_dump.h"
@@ -52,17 +54,37 @@ model::SystemSpec two_core_spec() {
   return spec;
 }
 
-TEST(MultiVm, LockstepMatchesIndependentRunExec) {
+// One MultiVm over `subs` with a fresh fabric and no boundary stages.
+std::vector<model::RunResult> run_machine(
+    const std::vector<model::SystemSpec>& subs, TimePoint horizon,
+    Duration quantum, ExecBackend backend) {
+  ChannelFabric fabric(subs.size());
+  MultiVm machine(subs, exp::ExecOptions{}, fabric);
+  machine.run(horizon, quantum, backend);
+  return machine.collect();
+}
+
+// The pause semantics are a property of the epoch boundary, so every case
+// runs on both steppers.
+class MultiVmSteppers : public ::testing::TestWithParam<ExecBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(Steppers, MultiVmSteppers,
+                         ::testing::Values(ExecBackend::kLockstep,
+                                           ExecBackend::kThreads),
+                         [](const auto& info) {
+                           return info.param == ExecBackend::kLockstep
+                                      ? "Lockstep"
+                                      : "Threads";
+                         });
+
+TEST_P(MultiVmSteppers, LockstepMatchesIndependentRunExec) {
   const auto spec = two_core_spec();
   const auto partition = Partitioner().partition(spec);
   ASSERT_TRUE(partition.complete());
   const auto subs = split_spec(spec, partition);
   ASSERT_EQ(subs.size(), 2u);
 
-  MultiVm machine(subs, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon);
-  const auto lockstep = machine.collect();
+  const auto lockstep = run_machine(subs, spec.horizon, tu(1), GetParam());
 
   for (std::size_t c = 0; c < subs.size(); ++c) {
     const auto solo = exp::run_exec(subs[c]);
@@ -78,18 +100,15 @@ TEST(MultiVm, LockstepMatchesIndependentRunExec) {
   }
 }
 
-TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
+TEST_P(MultiVmSteppers, EpochSizeDoesNotChangeBehaviour) {
   const auto spec = two_core_spec();
   const auto partition = Partitioner().partition(spec);
   const auto subs = split_spec(spec, partition);
 
   std::vector<std::uint64_t> hashes;
   for (const auto quantum : {tu(1), tu(5), tu(24)}) {
-    MultiVm machine(subs, exp::ExecOptions{});
-    machine.start();
-    machine.run_until(spec.horizon, quantum);
     std::uint64_t combined = 0;
-    for (auto& result : machine.collect()) {
+    for (auto& result : run_machine(subs, spec.horizon, quantum, GetParam())) {
       combined ^= common::fingerprint(result.timeline);
     }
     hashes.push_back(combined);
@@ -99,11 +118,11 @@ TEST(MultiVm, EpochSizeDoesNotChangeBehaviour) {
 }
 
 // A driver pause must not rotate the running fiber behind equal-priority
-// waiters: with two same-priority tasks on one core, lock-step epochs of
-// any size must reproduce the solo run exactly (regression: the freeze
-// path used to re-enqueue with a fresh ready_seq_, so every epoch boundary
-// round-robined the two tasks).
-TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
+// waiters: with two same-priority tasks on one core, epochs of any size must
+// reproduce the solo run exactly (regression: the freeze path used to
+// re-enqueue with a fresh ready_seq_, so every epoch boundary round-robined
+// the two tasks).
+TEST_P(MultiVmSteppers, EqualPriorityTasksSurviveEpochBoundaries) {
   model::SystemSpec spec;
   spec.name = "eq";
   spec.cores = 1;
@@ -119,10 +138,8 @@ TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
   spec.horizon = at_tu(20);
 
   const auto solo = exp::run_exec(spec);
-  MultiVm machine({spec}, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon, tu(1));  // pause at every single tu
-  const auto lockstep = machine.collect();
+  // Pause at every single tu.
+  const auto lockstep = run_machine({spec}, spec.horizon, tu(1), GetParam());
   EXPECT_EQ(common::fingerprint(lockstep[0].timeline),
             common::fingerprint(solo.timeline));
   EXPECT_EQ(lockstep[0].timeline.busy_intervals("tau0"),
@@ -132,7 +149,7 @@ TEST(MultiVm, EqualPriorityTasksSurviveEpochBoundaries) {
 // A fiber mid-work() at the final horizon must still close its busy
 // interval there (regression: the seamless-freeze change used to leave the
 // trace open, and busy_intervals drops unterminated intervals).
-TEST(MultiVm, FrozenFiberIntervalClosesAtFinalHorizon) {
+TEST_P(MultiVmSteppers, FrozenFiberIntervalClosesAtFinalHorizon) {
   model::SystemSpec spec;
   spec.name = "cut";
   spec.cores = 1;
@@ -145,14 +162,49 @@ TEST(MultiVm, FrozenFiberIntervalClosesAtFinalHorizon) {
   spec.periodic_tasks.push_back(t);
   spec.horizon = at_tu(3);  // cuts the first job mid-execution
 
-  MultiVm machine({spec}, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(spec.horizon, tu(1));
-  const auto results = machine.collect();
+  const auto results = run_machine({spec}, spec.horizon, tu(1), GetParam());
   const auto busy = results[0].timeline.busy_intervals("tau");
   ASSERT_EQ(busy.size(), 1u);
   EXPECT_EQ(busy[0].begin, at_tu(0));
   EXPECT_EQ(busy[0].end, at_tu(3));
+}
+
+// Throws from the first handler completion core 1 records after t = 5. A
+// completion is a stepping-phase record (the server's fiber emits it
+// mid-epoch); a throw from a boundary-phase record would hit the barrier's
+// noexcept completion step instead.
+class FailingSink final : public common::TraceSink {
+ public:
+  void record(TimePoint at, common::TraceKind kind, std::string_view,
+              std::int64_t, std::string_view) override {
+    if (kind == common::TraceKind::kComplete && at > at_tu(5) && !threw) {
+      threw = true;
+      throw std::runtime_error("core 1 failed");
+    }
+  }
+  bool retract(TimePoint, common::TraceKind, std::string_view) override {
+    return false;
+  }
+  bool threw = false;
+};
+
+// A core failing mid-horizon stops the run: mp::run rethrows the core's
+// error once every stepping thread has unwound (under threads, the failing
+// worker drops out of the barrier and the survivors leave after the same
+// epoch).
+TEST_P(MultiVmSteppers, CoreFailureMidHorizonIsRethrown) {
+  const auto spec = two_core_spec();
+  FailingSink failing;
+  MpRunOptions options;
+  options.backend = GetParam();
+  options.core_trace_sinks = {nullptr, &failing};
+  try {
+    mp::run(spec, options);
+    ADD_FAILURE() << "the core failure was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "core 1 failed");
+  }
+  EXPECT_TRUE(failing.threw) << "the scenario never reached the failure";
 }
 
 // --- determinism regression suite: cross-core traffic ---
@@ -385,29 +437,6 @@ TEST_P(MultiVmPolicyDeterminism, JobDeclarationOrderDoesNotChangeTheRun) {
     EXPECT_EQ(job_a.served, it->served) << job_a.name;
     EXPECT_EQ(job_a.release, it->release) << job_a.name;
     EXPECT_EQ(job_a.completion, it->completion) << job_a.name;
-  }
-}
-
-TEST(MultiVm, ResumableAcrossMultipleRunUntilCalls) {
-  const auto spec = two_core_spec();
-  const auto partition = Partitioner().partition(spec);
-  const auto subs = split_spec(spec, partition);
-
-  MultiVm machine(subs, exp::ExecOptions{});
-  machine.start();
-  machine.run_until(at_tu(7));
-  EXPECT_EQ(machine.vm(0).now(), at_tu(7));
-  EXPECT_EQ(machine.vm(1).now(), at_tu(7));
-  machine.run_until(spec.horizon);
-  const auto results = machine.collect();
-
-  MultiVm oneshot(subs, exp::ExecOptions{});
-  oneshot.start();
-  oneshot.run_until(spec.horizon);
-  const auto expected = oneshot.collect();
-  for (std::size_t c = 0; c < results.size(); ++c) {
-    EXPECT_EQ(common::fingerprint(results[c].timeline),
-              common::fingerprint(expected[c].timeline));
   }
 }
 

@@ -161,7 +161,7 @@ TEST(Rebalance, OffIsTheExistingPartitionedBaseline) {
 // tiny, so measured headroom appears (0.3 + drift margin 0.25 + 0.3 fits
 // under 1.0) and admit mode starts the rejected task mid-run on the
 // chosen core — reclaiming server reservation the workload is not using.
-TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
+model::SystemSpec admit_spec() {
   model::SystemSpec spec;
   spec.name = "admit";
   spec.cores = 2;
@@ -185,13 +185,21 @@ TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
     spec.aperiodic_jobs.push_back(job);
   }
   spec.horizon = at_tu(60);
+  return spec;
+}
 
+MpRunOptions admit_options() {
   MpRunOptions options;
   options.quantum = tu(0.5);
   options.rebalance.mode = RebalanceMode::kAdmit;
   options.rebalance.drift = 0.25;
   options.rebalance.period = tu(6);
+  return options;
+}
 
+TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
+  const auto spec = admit_spec();
+  const auto options = admit_options();
   const auto partition = Partitioner(options.strategy).partition(spec);
   ASSERT_EQ(partition.rejected.size(), 1u)
       << "the scenario must start with exactly one offline rejection";
@@ -230,6 +238,27 @@ TEST(Rebalance, AdmitsRejectedTaskOnceHeadroomAppears) {
   const auto ch =
       exp::compute_channel_metrics(run.channel_deliveries, run.merged);
   EXPECT_EQ(ch.rebalance_admissions, 1u);
+}
+
+// The rebalancer and the shed governor read one load meter: an online
+// admission is part of the load both of them see. With equal windows their
+// last samples agree on every core, the admitted task's 0.3 included
+// (regression: the governor kept its own copy of the measurement, which
+// never learned of admissions).
+TEST(Rebalance, ShedGovernorSeesTheAdmittedTask) {
+  const auto spec = admit_spec();
+  auto options = admit_options();
+  options.exec.overload.mode = exp::OverloadMode::kShed;
+  options.exec.overload.period = options.rebalance.period;
+
+  const auto run = mp::run(spec, options);
+  ASSERT_EQ(run.rebalance_admissions, 1u);
+  ASSERT_EQ(run.overload_utilization.size(), 2u);
+  ASSERT_EQ(run.rebalance_utilization.size(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(run.overload_utilization[c], run.rebalance_utilization[c])
+        << "core " << c;
+  }
 }
 
 TEST(RebalanceMode, ParseAndPrintRoundTrip) {

@@ -5,11 +5,10 @@
 //
 //   1. The per-core world (rtsj VM + ExecSystem): timer fires, server
 //      dispatch (batched and unbatched), periodic re-releases, outcome
-//      recording. This is the whole lock-step epoch and the worker-thread
-//      body of the threads backend.
-//   2. The threads backend's staging substrate (MpscQueue<StagedFire>):
-//      after one warm epoch, push/drain/recycle cycles run entirely on
-//      pooled nodes.
+//      recording. This is one core's share of a lock-step epoch and the
+//      worker-thread body of the threads stepper.
+//   2. Both steppers' staging substrate (MpscQueue<StagedFire>): after one
+//      warm epoch, push/drain/recycle cycles run entirely on pooled nodes.
 //
 // The interposer replaces global operator new, so this TU must be the only
 // one in the binary including alloc_interposer.h. Under ASan/TSan the

@@ -675,15 +675,20 @@ void Analyzer::check_det_rules(std::vector<Finding>* findings) const {
 
 void Analyzer::check_phase_order(std::vector<Finding>* findings) const {
   std::set<std::pair<std::string, std::string>> reported;
+  std::vector<bool> waived(allowlist_.size(), false);
   auto allowed = [&](const FunctionInfo& root, const FunctionInfo& caller,
                      const FunctionInfo& target) {
-    for (const AllowEdge& e : allowlist_) {
+    for (std::size_t i = 0; i < allowlist_.size(); ++i) {
+      const AllowEdge& e = allowlist_[i];
       const bool from_ok = e.from == root.qualified ||
                            e.from == root.simple ||
                            e.from == caller.qualified ||
                            e.from == caller.simple;
       const bool to_ok = e.to == target.qualified || e.to == target.simple;
-      if (from_ok && to_ok) return true;
+      if (from_ok && to_ok) {
+        waived[i] = true;
+        return true;
+      }
     }
     return false;
   };
@@ -751,6 +756,16 @@ void Analyzer::check_phase_order(std::vector<Finding>* findings) const {
         }
       }
     }
+  }
+
+  // A waiver that excused nothing has outlived its code (or never matched
+  // it): report it, so the reviewed list only ever names live edges.
+  for (std::size_t i = 0; i < allowlist_.size(); ++i) {
+    if (waived[i]) continue;
+    const AllowEdge& e = allowlist_[i];
+    findings->push_back({allowlist_path_, e.line, "allow-unused", "",
+                         "allowlist entry '" + e.from + " -> " + e.to +
+                             "' waived no phase-order edge"});
   }
 }
 
@@ -839,6 +854,7 @@ bool parse_allowlist(std::string_view text, std::vector<AllowEdge>* out,
     e.from = trim(body.substr(0, arrow));
     e.to = trim(body.substr(arrow + 2));
     e.note = std::move(note);
+    e.line = static_cast<int>(line_no);
     if (e.from.empty() || e.to.empty()) {
       *error = "allowlist line " + std::to_string(line_no) +
                ": empty endpoint";

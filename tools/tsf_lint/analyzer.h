@@ -18,6 +18,7 @@
 //                       exceptions live in the allowlist file)
 //   allow-missing-justification / allow-unknown-rule
 //                       malformed TSF_LINT_ALLOW suppressions
+//   allow-unused        an allowlist entry that waived no phase-order edge
 #pragma once
 
 #include <cstddef>
@@ -77,13 +78,16 @@ struct AllowEdge {
   std::string from;
   std::string to;
   std::string note;
+  int line = 0;  // in the allowlist file
 };
 
 class Analyzer {
  public:
   // Lexes nothing itself: feed lex() results in any order, then run().
   void add_file(LexedFile file);
-  void set_allowlist(std::vector<AllowEdge> allow) {
+  // `path` names the allowlist file in allow-unused findings.
+  void set_allowlist(std::string path, std::vector<AllowEdge> allow) {
+    allowlist_path_ = std::move(path);
     allowlist_ = std::move(allow);
   }
 
@@ -119,6 +123,7 @@ class Analyzer {
   // names no in-tree class has, which correctly dead-ends the chain.
   std::map<std::string, std::map<std::string, std::string>> member_types_;
   std::vector<FunctionInfo> functions_;
+  std::string allowlist_path_;
   std::vector<AllowEdge> allowlist_;
   std::size_t annotated_count_ = 0;
 };

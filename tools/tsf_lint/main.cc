@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       std::cerr << "tsf_lint: " << error << "\n";
       return 2;
     }
-    analyzer.set_allowlist(std::move(allow));
+    analyzer.set_allowlist(allowlist_path, std::move(allow));
   }
 
   const std::vector<Finding> findings = analyzer.run();
