@@ -13,18 +13,15 @@
 //   bench_micro_queue [--json FILE] [google-benchmark flags...]
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/json_writer.h"
 #include "core/pending_queue.h"
 #include "core/servable_async_event_handler.h"
-#include "exp/bench_cli.h"
+#include "self_timed.h"
 
 namespace {
 
@@ -120,36 +117,18 @@ BENCHMARK(BM_PlacementQuery)->Arg(16)->Arg(256)->Arg(4096);
 
 // ---- self-timed path (--json): the same workloads, hand-rolled timing ----
 
-// Runs `body` (which processes `items` items per call) repeatedly for at
-// least 50 ms and returns items per second.
-template <typename Body>
-double ops_per_sec(std::size_t items, Body body) {
-  using clock = std::chrono::steady_clock;
-  const auto begin = clock::now();
-  std::uint64_t done = 0;
-  do {
-    body();
-    done += items;
-  } while (clock::now() - begin < std::chrono::milliseconds(50));
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(clock::now() -
-                                                                begin)
-          .count();
-  return seconds > 0.0 ? static_cast<double>(done) / seconds : 0.0;
-}
-
 int run_json(const std::string& json_path) {
   constexpr std::size_t kBacklog = 1024;
   auto handlers = make_handlers(kBacklog);
 
-  const double fifo_ops = ops_per_sec(kBacklog, [&handlers] {
+  const double fifo_ops = bench::items_per_sec(kBacklog, [&handlers] {
     core::StrictFifoQueue q;
     fill(q, handlers);
     const auto fits = [](Duration) { return true; };
     while (auto r = q.pop_fitting(fits)) benchmark::DoNotOptimize(r->seq);
   });
 
-  const double lol_ops = ops_per_sec(kBacklog, [&handlers] {
+  const double lol_ops = bench::items_per_sec(kBacklog, [&handlers] {
     core::ListOfListsQueue q(tu(4));
     fill(q, handlers);
     const auto fits = [](Duration) { return true; };
@@ -164,7 +143,7 @@ int run_json(const std::string& json_path) {
   for (auto& h : uniform) h->set_cost(tu(2));
   core::ListOfListsQueue placement_queue(tu(4));
   fill(placement_queue, uniform);
-  const double placement_ops = ops_per_sec(1, [&placement_queue] {
+  const double placement_ops = bench::items_per_sec(1, [&placement_queue] {
     benchmark::DoNotOptimize(placement_queue.placement_for(tu(2)));
   });
 
@@ -172,50 +151,15 @@ int run_json(const std::string& json_path) {
   std::printf("list-of-lists     %10.3g items/sec\n", lol_ops);
   std::printf("placement query   %10.3g ops/sec\n", placement_ops);
 
-  common::JsonWriter json;
-  json.begin_object();
-  json.key("schema").value("tsf-bench/1");
-  json.key("bench").value("micro_queue");
-  json.key("metrics").begin_array();
-  auto metric = [&json](const std::string& name, double value,
-                        bool higher_is_better) {
-    json.begin_object();
-    json.key("name").value(name);
-    json.key("value").value(value);
-    json.key("higher_is_better").value(higher_is_better);
-    json.end_object();
-  };
-  metric("fifo_items_per_sec", fifo_ops, true);
-  metric("list_of_lists_items_per_sec", lol_ops, true);
-  metric("placement_queries_per_sec", placement_ops, true);
-  json.end_array();
-  json.end_object();
-  std::ofstream out(json_path, std::ios::binary);
-  if (!out) {
-    std::cerr << "error: cannot write '" << json_path << "'\n";
-    return 1;
-  }
-  out << json.take();
-  return 0;
+  return bench::write_json(json_path, "micro_queue",
+                           {{"fifo_items_per_sec", fifo_ops, true},
+                            {"list_of_lists_items_per_sec", lol_ops, true},
+                            {"placement_queries_per_sec", placement_ops,
+                             true}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --json takes the self-timed path; anything else falls through to
-  // google-benchmark untouched (its own flags keep working).
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      exp::BenchCli cli(exp::BenchCli::kJson);
-      for (int j = 1; j < argc; ++j) {
-        if (!cli.consume(argc, argv, &j)) return cli.fail("bench_micro_queue");
-      }
-      return run_json(cli.json_path);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return tsf::bench::run_main(argc, argv, "bench_micro_queue", run_json);
 }

@@ -14,11 +14,15 @@ EventQueue::Entry* EventQueue::acquire() {
   // pops the free list above and never reaches this line.
   storage_.push_back(std::make_unique<Entry>());
   // Every entry can be in the heap or on the free list, never both; keeping
-  // both capacities at pool size here (the only growth point) means the
-  // steady state — which by definition creates no fresh entries — never
-  // reallocates either container.
-  heap_.reserve(storage_.size());
-  free_.reserve(storage_.size());
+  // both capacities at or above pool size here (the only growth point)
+  // means the steady state — which by definition creates no fresh entries —
+  // never reallocates either container. Growing to twice the pool keeps
+  // filling the queue amortized O(1) per entry.
+  if (heap_.capacity() < storage_.size() ||
+      free_.capacity() < storage_.size()) {
+    heap_.reserve(2 * storage_.size());
+    free_.reserve(2 * storage_.size());
+  }
   return storage_.back().get();
 }
 

@@ -100,9 +100,10 @@ class EventQueue {
   // Invalidates outstanding handles and returns the entry to the pool.
   TSF_NO_ALLOC void recycle(Entry* e);
 
-  // priority_queue with the underlying vector's reserve exposed, so
-  // acquire() can keep capacity >= pool size (see below).
+  // priority_queue with the underlying vector's capacity exposed, so
+  // acquire() can keep it >= pool size (see below).
   struct Heap : std::priority_queue<Entry*, std::vector<Entry*>, Later> {
+    std::size_t capacity() const { return c.capacity(); }
     void reserve(std::size_t n) { c.reserve(n); }
   };
 

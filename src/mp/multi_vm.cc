@@ -60,11 +60,11 @@ static bool pin_current_thread(std::size_t core) {
 #endif
 }
 
-// Core `core`'s completion port: a handler finishing on that core (on the
-// stepping thread or one of its VM's fiber threads) stages the fire into
-// the shared MPSC queue instead of touching the fabric. `next_seq` is plain
-// — only this core's world posts through this port, and within one world
-// exactly one fiber (or the stepping thread) runs at a time.
+// Core `core`'s completion port: a handler finishing on that core (in one
+// of its VM's fibers, on the thread stepping that core) stages the fire
+// into the shared MPSC queue instead of touching the fabric. `next_seq` is
+// plain — only this core's world posts through this port, and one thread
+// steps it.
 struct MultiVm::StagedPort : exp::CrossCorePort {
   StagedPort(MultiVm* machine, std::size_t core)
       : machine(machine), core(core) {}
@@ -161,6 +161,11 @@ double MultiVm::run(TimePoint horizon, Duration quantum, ExecBackend backend) {
   quantum_ = quantum;
 
   const auto run_begin = std::chrono::steady_clock::now();
+  // Every endpoint is armed before any boundary can deliver into it. A
+  // world's fibers are user-space contexts, so they may start here and be
+  // stepped on a worker.
+  for (auto& system : systems_) system->start();
+  epoch_begin_ = std::chrono::steady_clock::now();
   std::size_t pinned = 0;
   if (backend == ExecBackend::kThreads) {
     pinned = step_threads();
@@ -179,8 +184,6 @@ double MultiVm::run(TimePoint horizon, Duration quantum, ExecBackend backend) {
 }
 
 void MultiVm::step_lockstep() {
-  for (auto& system : systems_) system->start();
-  epoch_begin_ = std::chrono::steady_clock::now();
   while (now_ < horizon_) {
     const TimePoint next = common::min(now_ + quantum_, horizon_);
     for (auto& vm : vms_) vm->run_until(next);
@@ -193,51 +196,36 @@ std::size_t MultiVm::step_threads() {
   std::atomic<std::size_t> pinned{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;  // the first error any worker raised
-  // Whether the workers stop after the phase that just completed. Only a
+  // Whether the workers stop after the phase that just completed. Only the
   // barrier's completion step writes it — every worker is parked or gone
   // then, so it reads first_error unlocked — and every survivor reads it
   // before it next arrives, so all agree on the abort phase: an error in a
   // later epoch cannot make one worker leave while the others wait for it.
   bool stop = false;
-  const auto latch = [&]() noexcept { stop = first_error != nullptr; };
-  std::barrier start_barrier(static_cast<std::ptrdiff_t>(cores), latch);
   std::barrier epoch_barrier(static_cast<std::ptrdiff_t>(cores),
                              [&]() noexcept {
                                on_boundary();
-                               latch();
+                               stop = first_error != nullptr;
                              });
-  // Runs one step of a worker's world. An error is kept (the first one
-  // wins) and stops every worker at the next barrier; returns whether
-  // `step` completed.
-  const auto guarded = [&](auto&& step) {
-    try {
-      step();
-      return true;
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      return false;
-    }
-  };
-  epoch_begin_ = std::chrono::steady_clock::now();
 
   std::vector<std::thread> workers;
   workers.reserve(cores);
   for (std::size_t c = 0; c < cores; ++c) {
     workers.emplace_back([&, c] {
       if (pin_current_thread(c)) pinned.fetch_add(1, std::memory_order_relaxed);
-      // start() on the worker so the world's fiber threads are spawned
-      // here and inherit the affinity; the start barrier guarantees every
-      // endpoint is armed before any boundary can deliver into it, and that
-      // a world failing to start stops every worker before the first epoch.
-      guarded([&] { systems_[c]->start(); });
-      start_barrier.arrive_and_wait();
       TimePoint now = TimePoint::origin();
       while (now < horizon_ && !stop) {
         now = common::min(now + quantum_, horizon_);
-        if (!guarded([&] { vms_[c]->run_until(now); })) {
-          // Mid-horizon abort: arrive_and_drop completes the current phase
-          // for the others, and they unwind after it.
+        try {
+          vms_[c]->run_until(now);
+        } catch (...) {
+          // The first error wins. Mid-horizon abort: arrive_and_drop
+          // completes the current phase for the others, and they unwind
+          // after it.
+          {
+            const std::lock_guard<std::mutex> lock(error_mutex);
+            if (!first_error) first_error = std::current_exception();
+          }
           epoch_barrier.arrive_and_drop();
           return;
         }

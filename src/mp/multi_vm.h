@@ -92,14 +92,13 @@ class MultiVm {
   // the stepper finishes — never concurrently. Must outlive the run.
   void set_metrics(common::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // One-shot: starts every core's world (under kThreads on its own worker,
-  // so the world's fiber threads inherit the affinity), then steps every
-  // core to `horizon` in epochs of `quantum` (the last one clipped) with the
-  // boundary step after each. Under kThreads the first error a core's world
-  // raises stops every worker after the current epoch (or before the first,
-  // if a world fails to start) and is rethrown once all have unwound; under
-  // kLockstep it propagates straight out. Returns the wall-clock seconds
-  // spent stepping.
+  // One-shot: starts every core's world on the calling thread (an error
+  // there propagates straight out), then steps every core to `horizon` in
+  // epochs of `quantum` (the last one clipped) with the boundary step after
+  // each. Under kThreads the first error a core's world raises stops every
+  // worker after the current epoch and is rethrown once all have unwound;
+  // under kLockstep it propagates straight out. Returns the wall-clock
+  // seconds spent starting and stepping.
   double run(common::TimePoint horizon,
              common::Duration quantum = common::Duration::time_units(1),
              ExecBackend backend = ExecBackend::kLockstep);

@@ -6,8 +6,8 @@ namespace tsf::rtsj {
 
 namespace {
 // Balances enter/exit even when AsyncInterrupt (or VM shutdown) unwinds the
-// section. Captures the owning fiber: during teardown the guard runs on a
-// fiber that no longer holds the baton.
+// section. Captures the owning fiber: during teardown the guard runs while
+// the VM's destructor unwinds that fiber, not during a run.
 class InterruptibleSection {
  public:
   InterruptibleSection(vm::VirtualMachine& machine, vm::Fiber* fiber)

@@ -1,12 +1,118 @@
 #include "rtsj/vm/vm.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <mutex>
 
 #include "common/diag.h"
 
+// Sanitizers must be told about every stack switch: ASan tracks the stack
+// bounds (and fake stacks) of the running context, TSan models each fiber
+// as a thread of its own. g++ and clang (14 and later) define
+// __SANITIZE_ADDRESS__ / __SANITIZE_THREAD__ under the matching -fsanitize.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace tsf::rtsj::vm {
 
-VirtualMachine::VirtualMachine(OverheadModel overhead) : overhead_(overhead) {
+// Placed at the top of the fiber's stack, so the first frame starts right
+// below it (hence the alignment a stack pointer needs).
+struct alignas(16) FiberContext {
+  ucontext_t registers;
+  // The usable stack, for ASan. The driver's is learned on each switch out
+  // of it, since the driver may be a different thread every run_until.
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
+
+namespace {
+
+// Every fiber's stack. The deepest fiber stack measured over the test
+// suite, the example specs on both backends and the paper's exec tables is
+// 7.4 KiB (g++ 12 -O2, x86-64); the rest is headroom for user handlers and
+// sanitizer builds. Untouched pages are never made resident.
+constexpr std::size_t kStackBytes = 256 * 1024;
+
+// Fiber stacks outlive any one VM: a process builds and tears down
+// thousands of short-lived worlds (one experiment cell each), so stacks are
+// mapped once and recycled. One mapping is [guard page | stack]. Shared by
+// every thread that drives a VM.
+class StackPool {
+ public:
+  StackPool() : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+    free_.reserve(kKeep);
+  }
+
+  // Returns the lowest usable byte of a kStackBytes stack.
+  char* take() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        char* stack = free_.back();
+        free_.pop_back();
+        return stack;
+      }
+    }
+    void* map = mmap(nullptr, page_ + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    // NOLINTNEXTLINE(performance-no-int-to-ptr): MAP_FAILED is (void*)-1.
+    TSF_ASSERT(map != MAP_FAILED, "cannot map a " << kStackBytes
+                                                  << "-byte fiber stack");
+    const int guarded = mprotect(map, page_, PROT_NONE);
+    TSF_ASSERT(guarded == 0, "cannot protect a fiber stack's guard page");
+    return static_cast<char*>(map) + page_;
+  }
+
+  void give(char* stack) {
+#if defined(__SANITIZE_ADDRESS__)
+    // A fiber that never returned from its last frames (every fiber ends by
+    // switching away) leaves their redzones poisoned for the next user.
+    __asan_unpoison_memory_region(stack, kStackBytes);
+#endif
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (free_.size() < kKeep) {
+        free_.push_back(stack);
+        return;
+      }
+    }
+    munmap(stack - page_, page_ + kStackBytes);
+  }
+
+ private:
+  // Stacks kept for reuse; the rest are unmapped. A world runs one fiber
+  // per server and periodic task, so this covers any experiment cell's.
+  static constexpr std::size_t kKeep = 64;
+  const std::size_t page_;
+  std::mutex mutex_;
+  std::vector<char*> free_;
+};
+
+// Never destroyed: a VM may be torn down during static destruction.
+StackPool& stack_pool() {
+  static StackPool& pool = *new StackPool;
+  return pool;
+}
+
+char* stack_of(FiberContext* context) {
+  return reinterpret_cast<char*>(context + 1) - kStackBytes;
+}
+
+}  // namespace
+
+VirtualMachine::VirtualMachine(OverheadModel overhead)
+    : overhead_(overhead), driver_(std::make_unique<FiberContext>()) {
   // Charged by the event queue right before a taxed (kernel-timer) callback
   // fires — applied here once instead of wrapped into every scheduled
   // closure, which would heap-allocate on each timer re-arm.
@@ -17,21 +123,22 @@ VirtualMachine::VirtualMachine(OverheadModel overhead) : overhead_(overhead) {
 
 VirtualMachine::~VirtualMachine() {
   shutting_down_ = true;
-  // Signal termination to every unfinished fiber BEFORE joining any thread.
-  // Each released fiber observes shutting_down_ on wake (the semaphore
-  // hand-off orders the flag write before the read), throws FiberShutdown
-  // from its park point, unwinds, and exits without handing the baton to
-  // anyone. Signalling first matters when a run aborted mid-horizon: a
-  // fiber that is already unwinding (its state not yet kFinished when we
-  // look) must never be joined while another parked fiber still waits for
-  // its wake-up token, or teardown could stall behind a fiber whose exit
-  // depends on state the parked one holds. Finished fibers get no token —
-  // they are past their last acquire and only need the join.
+  // Resume every unfinished fiber once: it throws FiberShutdown from its
+  // park point (or skips its body, if it never ran), unwinds on its own
+  // stack, and switches back here when finished. Then its stack goes back
+  // to the pool.
   for (auto& f : fibers_) {
-    if (f->thread_.joinable() && !f->finished()) f->sem_.release();
-  }
-  for (auto& f : fibers_) {
-    if (f->thread_.joinable()) f->thread_.join();
+    FiberContext* context = f->context_;
+    if (context == nullptr) continue;  // never started
+    if (!f->finished()) {
+      current_ = f.get();
+      switch_context(*driver_, *context);
+    }
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(context->tsan_fiber);
+#endif
+    context->~FiberContext();
+    stack_pool().give(stack_of(context));
   }
 }
 
@@ -45,30 +152,54 @@ Fiber* VirtualMachine::create_fiber(std::string name, int priority,
 void VirtualMachine::start_fiber(Fiber* fiber) {
   TSF_ASSERT(fiber->state_ == Fiber::State::kNew,
              "fiber " << fiber->name_ << " started twice");
-  fiber->thread_ = std::thread([this, fiber] { fiber_main(fiber); });
+  char* stack = stack_pool().take();
+  auto* context =
+      new (stack + kStackBytes - sizeof(FiberContext)) FiberContext;
+  const int saved = getcontext(&context->registers);
+  TSF_ASSERT(saved == 0, "getcontext failed for fiber " << fiber->name_);
+  context->stack_bottom = stack;
+  context->stack_size = kStackBytes - sizeof(FiberContext);
+  context->registers.uc_stack.ss_sp = stack;
+  context->registers.uc_stack.ss_size = context->stack_size;
+  context->registers.uc_link = nullptr;  // fiber_main never returns
+#if defined(__SANITIZE_THREAD__)
+  context->tsan_fiber = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(context->tsan_fiber, fiber->name_.c_str());
+#endif
+  static_assert(sizeof(std::uintptr_t) == 8, "fiber_entry takes 2 halves");
+  const auto bits = std::bit_cast<std::uintptr_t>(fiber);
+  makecontext(&context->registers,
+              reinterpret_cast<void (*)()>(&VirtualMachine::fiber_entry), 2,
+              static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu));
+  fiber->context_ = context;
   make_ready(fiber);
 }
 
+void VirtualMachine::fiber_entry(unsigned hi, unsigned lo) {
+  auto* fiber =
+      std::bit_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) | lo);
+  fiber->vm_->fiber_main(fiber);
+}
+
 void VirtualMachine::fiber_main(Fiber* self) {
-  self->sem_.acquire();  // wait for the first grant
+  finish_switch(*self->context_);
   if (!shutting_down_) {
     try {
       self->body_();
     } catch (const FiberShutdown&) {
       // normal teardown path
     } catch (...) {
-      // During teardown every released fiber unwinds concurrently, so
-      // pending_error_ (single-threaded baton state) must not be touched —
-      // the VM is being destroyed and nobody would rethrow it anyway.
+      // Nobody rethrows once the VM is being destroyed.
       if (!shutting_down_ && !pending_error_) {
         pending_error_ = std::current_exception();
       }
     }
   }
   self->state_ = Fiber::State::kFinished;
-  if (shutting_down_) return;  // the destructor owns the baton now
-  close_trace(self);
-  yield_to_scheduler(self);  // returns immediately for finished fibers
+  if (!shutting_down_) close_trace(self);
+  yield_to_scheduler(self);
+  TSF_PANIC("finished fiber " << self->name_ << " was resumed");
 }
 
 VirtualMachine::TimerHandle VirtualMachine::schedule_timer(
@@ -103,7 +234,8 @@ void VirtualMachine::run_until(TimePoint horizon) {
     Fiber* next = pick_ready();
     if (next != nullptr && now_ < horizon_) {
       grant(next);
-      main_sem_.acquire();  // baton comes back when no fiber can run
+      // Back here when no fiber can run.
+      switch_context(*driver_, *next->context_);
       continue;
     }
     if (now_ >= horizon_) break;
@@ -293,7 +425,6 @@ void VirtualMachine::grant(Fiber* fiber) {
       remove_from_ready(fiber);
       fiber->state_ = Fiber::State::kRunning;
       current_ = fiber;
-      fiber->sem_.release();
       return;
     }
     // Someone else runs first: the freeze was a real preemption after all.
@@ -308,29 +439,55 @@ void VirtualMachine::grant(Fiber* fiber) {
     add_overhead(overhead_.context_switch);
   }
   open_trace(fiber);
-  fiber->sem_.release();
 }
 
 void VirtualMachine::yield_to_scheduler(Fiber* self) {
-  // Read our own state before handing the baton over: the instant grant()
-  // (or the driver release) lets another thread run, that thread may
-  // re-grant *this* fiber and write self->state_ — reading it afterwards
-  // would race. Finished is final, so the early snapshot is equivalent.
-  const bool finished = self->state_ == Fiber::State::kFinished;
-  Fiber* next = (now_ < horizon_) ? pick_ready() : nullptr;
+  // Teardown is exempt: the destructor may run inside the driver's handler,
+  // and a fiber's own handlers have all closed by the time it finishes.
+  TSF_ASSERT(shutting_down_ || std::current_exception() == nullptr,
+             "fiber " << self->name_ << " parked inside a catch handler");
+  Fiber* next =
+      (!shutting_down_ && now_ < horizon_) ? pick_ready() : nullptr;
   if (next != nullptr) {
     grant(next);
   } else {
     current_ = nullptr;
-    main_sem_.release();
   }
-  if (finished) return;
-  self->sem_.acquire();
+  switch_context(*self->context_,
+                 next != nullptr ? *next->context_ : *driver_,
+                 self->finished());
   // TSF_LINT_ALLOW[rt-throw]: teardown-only unwind — FiberShutdown is
   // thrown exactly once per fiber, at VM destruction, to collapse the
   // fiber's stack; it can never fire during a live run_until.
   if (shutting_down_) throw FiberShutdown{};
-  TSF_ASSERT(current_ == self, "woke without the baton: " << self->name_);
+  TSF_ASSERT(current_ == self, "resumed out of turn: " << self->name_);
+}
+
+void VirtualMachine::switch_context(FiberContext& from, FiberContext& to,
+                                    bool from_exits) {
+  switching_from_ = &from;
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.asan_fake_stack,
+                                 to.stack_bottom, to.stack_size);
+#else
+  (void)from_exits;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  if (&from == driver_.get()) from.tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+  swapcontext(&from.registers, &to.registers);
+  finish_switch(from);
+}
+
+void VirtualMachine::finish_switch(FiberContext& self) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(self.asan_fake_stack,
+                                  &switching_from_->stack_bottom,
+                                  &switching_from_->stack_size);
+#else
+  (void)self;
+#endif
 }
 
 void VirtualMachine::open_trace(Fiber* fiber) {

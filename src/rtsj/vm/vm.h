@@ -11,24 +11,38 @@
 //
 // Execution model
 // ---------------
-// Each schedulable entity is a Fiber: an OS thread that only ever runs while
-// it holds the VM baton (exactly one fiber — or the driver inside
-// run_until() — is unparked at any moment, enforced with binary semaphores).
-// Fibers execute ordinary C++; only VirtualMachine::work() consumes virtual
-// time. work(d) advances the global clock, yields to higher-priority fibers
-// that become ready, and accounts for kernel overhead (timer fires, context
-// switches) exactly the way the paper's §6/§7 discussion requires: overhead
-// delays everyone, and a server that measures elapsed time around a handler
-// will observe it.
+// Each schedulable entity is a Fiber: a user-space context (glibc
+// makecontext/swapcontext) on a stack of its own. A VM and all its fibers
+// run on whichever thread calls run_until(): exactly one of them — a fiber,
+// or the driver inside run_until() — executes at any moment, and handing
+// control from one to the next is a single swapcontext, with no kernel
+// wake-up. Fibers execute ordinary C++; only VirtualMachine::work() consumes
+// virtual time. work(d) advances the global clock, yields to higher-priority
+// fibers that become ready, and accounts for kernel overhead (timer fires,
+// context switches) exactly the way the paper's §6/§7 discussion requires:
+// overhead delays everyone, and a server that measures elapsed time around a
+// handler will observe it.
+//
+// Resources: a VM creates no OS thread. Each started fiber reserves a
+// 256 KiB stack above a guard page (only the pages it touches become
+// resident), taken from a small process-wide pool and returned to it when
+// the VM is destroyed. The destructor unwinds every parked fiber on its own
+// stack by resuming it into a FiberShutdown.
+//
+// A fiber never parks (work, sleep_until, block) inside a catch handler. The
+// C++ runtime keeps one stack of caught exceptions per OS thread, and a
+// user-space switch from inside a handler would interleave it with another
+// fiber's; parking asserts std::current_exception() == nullptr. Record what
+// the handler needs and park after it. The check cannot tell a fiber's
+// handler from the driver's, so run_until() must not be called from inside
+// a catch handler either; the destructor may be.
 #pragma once
 
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/annotations.h"
@@ -62,6 +76,8 @@ struct AsyncInterrupt {};
 struct FiberShutdown {};
 
 class VirtualMachine;
+// A fiber's saved registers and sanitizer state (defined in vm.cc).
+struct FiberContext;
 
 class Fiber {
  public:
@@ -95,8 +111,8 @@ class Fiber {
   bool interrupt_pending_ = false;
   int interruptible_depth_ = 0;
   bool trace_open_ = false;
-  std::binary_semaphore sem_{0};
-  std::thread thread_;
+  // Set by start_fiber; lives at the top of the fiber's pooled stack.
+  FiberContext* context_ = nullptr;
 };
 
 class VirtualMachine {
@@ -173,6 +189,8 @@ class VirtualMachine {
  private:
   friend class Fiber;
 
+  // makecontext entry point: the Fiber* arrives split into two 32-bit ints.
+  static void fiber_entry(unsigned hi, unsigned lo);
   void fiber_main(Fiber* self);
   void advance_to(TimePoint t);
   void add_overhead(Duration d);
@@ -181,10 +199,17 @@ class VirtualMachine {
   void remove_from_ready(Fiber* fiber);
   void make_ready(Fiber* fiber);
   void grant(Fiber* fiber);
-  // Parks `self` (whose state has already been updated) and transfers the
-  // baton to the next ready fiber or to the driver; returns when granted
-  // again. Throws FiberShutdown if woken during teardown.
+  // Parks `self` (whose state has already been updated) and switches to the
+  // next ready fiber or to the driver; returns when granted again. Throws
+  // FiberShutdown if resumed during teardown; never returns to a finished
+  // fiber.
   void yield_to_scheduler(Fiber* self);
+  // Saves the running context into `from` and resumes `to`; returns when
+  // something switches back to `from`. `from_exits`: `from` never resumes.
+  void switch_context(FiberContext& from, FiberContext& to,
+                      bool from_exits = false);
+  // Completes a switch on the context it resumed (sanitizer bookkeeping).
+  void finish_switch(FiberContext& self);
   void open_trace(Fiber* fiber);
   void close_trace(Fiber* fiber);
   void maybe_rethrow();
@@ -196,7 +221,7 @@ class VirtualMachine {
   common::EventQueue timers_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Fiber*> ready_;
-  Fiber* current_ = nullptr;  // nullptr: the driver holds the baton
+  Fiber* current_ = nullptr;  // nullptr: the driver is running
   // Fiber parked mid-work() by the run_until horizon, trace still open and
   // no context switch charged: resuming the world at the same instant is a
   // driver artifact, not a scheduling event, so a later run_until continues
@@ -207,7 +232,11 @@ class VirtualMachine {
   // never ends mid-interval); the next run_until retracts it.
   Fiber* frozen_ = nullptr;
   bool frozen_pause_recorded_ = false;
-  std::binary_semaphore main_sem_{0};
+  // The context of whoever drives the VM: run_until()'s caller, or the
+  // destructor's. It moves with the VM between threads.
+  std::unique_ptr<FiberContext> driver_;
+  // The context that made the switch in flight (read by finish_switch).
+  FiberContext* switching_from_ = nullptr;
   std::uint64_t next_ready_seq_ = 0;
   std::uint64_t context_switches_ = 0;
   bool shutting_down_ = false;
