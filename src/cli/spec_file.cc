@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -87,6 +89,11 @@ struct Parser {
       error(line, "expected a number, got '" + v + "'");
       return false;
     }
+    // from_chars accepts "nan" and "inf", which no key means.
+    if (!std::isfinite(*dst)) {
+      error(line, "expected a finite number, got '" + v + "'");
+      return false;
+    }
     return true;
   }
 
@@ -97,6 +104,14 @@ struct Parser {
       error(line, "durations must be non-negative");
       return false;
     }
+    // Duration::infinite() is the "never" sentinel; anything at or above it
+    // would also overflow the tick arithmetic.
+    if (tu * static_cast<double>(Duration::kTicksPerTimeUnit) >=
+        static_cast<double>(Duration::infinite().count())) {
+      error(line, "duration '" + trim(value) +
+                      "' is too long (it must stay below 2^60 ticks)");
+      return false;
+    }
     *dst = Duration::from_tu(tu);
     return true;
   }
@@ -104,6 +119,11 @@ struct Parser {
   bool parse_int(int line, const std::string& value, int* dst) {
     double x = 0.0;
     if (!parse_double(line, value, &x)) return false;
+    if (x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max()) {
+      error(line, "'" + trim(value) + "' is out of range for an integer");
+      return false;
+    }
     *dst = static_cast<int>(x);
     return true;
   }

@@ -193,26 +193,21 @@ std::vector<Request> DOverQueue::drain() {
   return out;
 }
 
-std::optional<Request> DOverQueue::steal(const StealEligibleFn& eligible,
-                                         const StealBeforeFn& before) {
-  std::size_t best = entries_.size();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (!eligible(entries_[i].request)) continue;
-    if (best == entries_.size() ||
-        before(entries_[i].request, entries_[best].request)) {
-      best = i;
+void DOverQueue::take(const TakeFn& pred, std::vector<Request>* out) {
+  auto kept = entries_.begin();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (pred(it->request)) {
+      if (it->privileged) config_.on_demote(it->request);
+      out->push_back(std::move(it->request));
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
   }
-  if (best == entries_.size()) return std::nullopt;
-  // A privileged entry leaving for another core exits the admitted set
-  // first, so the invariant checker never sees admitted work vanish.
-  if (entries_[best].privileged) config_.on_demote(entries_[best].request);
-  Request r = std::move(entries_[best].request);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(best));
-  return r;
+  entries_.erase(kept, entries_.end());
 }
 
-void DOverQueue::visit(const std::function<void(const Request&)>& fn) const {
+void DOverQueue::visit(const VisitFn& fn) const {
   for (const auto& e : entries_) fn(e.request);
 }
 

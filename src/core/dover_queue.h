@@ -70,10 +70,11 @@ class DOverQueue : public PendingQueue {
   std::size_t size() const override { return entries_.size(); }
   TSF_BARRIER_ONLY
   std::vector<Request> drain() override;
+  // A privileged entry is demoted before it leaves for another core, so
+  // the invariant checker never sees admitted work vanish.
   TSF_BARRIER_ONLY
-  std::optional<Request> steal(const StealEligibleFn& eligible,
-                               const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void take(const TakeFn& pred, std::vector<Request>* out) override;
+  void visit(const VisitFn& fn) const override;
 
   std::size_t privileged_count() const;
 

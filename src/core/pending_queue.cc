@@ -12,20 +12,24 @@ rtsj::RelativeTime declared(const Request& r) {
   return r.handler->cost();
 }
 
-// Shared steal scan over one deque: removes the request `before` ranks
-// first among the `eligible` ones.
-std::optional<Request> steal_from(RequestDeque& q,
-                                  const StealEligibleFn& eligible,
-                                  const StealBeforeFn& before) {
-  auto best = q.end();
+// Shared take pass over one deque: moves the accepted requests to `out`
+// and closes the gaps behind them, in one in-order sweep. Returns the
+// declared cost taken (the list-of-lists buckets account it).
+rtsj::RelativeTime take_from(RequestDeque& q, const TakeFn& pred,
+                             std::vector<Request>* out) {
+  rtsj::RelativeTime taken = rtsj::RelativeTime::zero();
+  auto kept = q.begin();
   for (auto it = q.begin(); it != q.end(); ++it) {
-    if (!eligible(*it)) continue;
-    if (best == q.end() || before(*it, *best)) best = it;
+    if (pred(*it)) {
+      taken += declared(*it);
+      out->push_back(std::move(*it));
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
   }
-  if (best == q.end()) return std::nullopt;
-  Request r = std::move(*best);
-  q.erase(best);
-  return r;
+  q.erase(kept, q.end());
+  return taken;
 }
 }  // namespace
 
@@ -56,13 +60,11 @@ std::vector<Request> StrictFifoQueue::drain() {
   return out;
 }
 
-std::optional<Request> StrictFifoQueue::steal(const StealEligibleFn& eligible,
-                                              const StealBeforeFn& before) {
-  return steal_from(q_, eligible, before);
+void StrictFifoQueue::take(const TakeFn& pred, std::vector<Request>* out) {
+  take_from(q_, pred, out);
 }
 
-void StrictFifoQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void StrictFifoQueue::visit(const VisitFn& fn) const {
   for (const auto& r : q_) fn(r);
 }
 
@@ -83,13 +85,11 @@ std::vector<Request> FifoFirstFitQueue::drain() {
   return out;
 }
 
-std::optional<Request> FifoFirstFitQueue::steal(
-    const StealEligibleFn& eligible, const StealBeforeFn& before) {
-  return steal_from(q_, eligible, before);
+void FifoFirstFitQueue::take(const TakeFn& pred, std::vector<Request>* out) {
+  take_from(q_, pred, out);
 }
 
-void FifoFirstFitQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void FifoFirstFitQueue::visit(const VisitFn& fn) const {
   for (const auto& r : q_) fn(r);
 }
 
@@ -158,43 +158,15 @@ std::vector<Request> ListOfListsQueue::drain() {
   return out;
 }
 
-std::optional<Request> ListOfListsQueue::steal(
-    const StealEligibleFn& eligible, const StealBeforeFn& before) {
-  // Two passes keep every untaken request exactly where it was: first find
-  // the winner across the active list and all future buckets, then remove
-  // it by its (unique) release seq.
-  const Request* best = nullptr;
-  for (const auto& r : active_) {
-    if (eligible(r) && (best == nullptr || before(r, *best))) best = &r;
+void ListOfListsQueue::take(const TakeFn& pred, std::vector<Request>* out) {
+  take_from(active_, pred, out);
+  for (auto bucket = buckets_.begin(); bucket != buckets_.end();) {
+    bucket->load -= take_from(bucket->items, pred, out);
+    bucket = bucket->items.empty() ? buckets_.erase(bucket) : bucket + 1;
   }
-  for (const auto& bucket : buckets_) {
-    for (const auto& r : bucket.items) {
-      if (eligible(r) && (best == nullptr || before(r, *best))) best = &r;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  const std::uint64_t seq = best->seq;
-  for (auto it = active_.begin(); it != active_.end(); ++it) {
-    if (it->seq != seq) continue;
-    Request r = std::move(*it);
-    active_.erase(it);
-    return r;
-  }
-  for (auto bucket = buckets_.begin(); bucket != buckets_.end(); ++bucket) {
-    for (auto it = bucket->items.begin(); it != bucket->items.end(); ++it) {
-      if (it->seq != seq) continue;
-      Request r = std::move(*it);
-      bucket->load -= declared(r);
-      bucket->items.erase(it);
-      if (bucket->items.empty()) buckets_.erase(bucket);
-      return r;
-    }
-  }
-  return std::nullopt;  // unreachable: the winner was just seen above
 }
 
-void ListOfListsQueue::visit(
-    const std::function<void(const Request&)>& fn) const {
+void ListOfListsQueue::visit(const VisitFn& fn) const {
   for (const auto& r : active_) fn(r);
   for (const auto& bucket : buckets_) {
     for (const auto& r : bucket.items) fn(r);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -39,11 +38,10 @@ struct Request {
 // lambdas in the call expression or keep the lambda alive alongside.
 using FitsFn = common::FunctionRef<bool(rtsj::RelativeTime declared_cost)>;
 
-// Work-stealing selectors (mp semi-partitioned policy): which pending
-// requests may leave this core, and which of two ranks first.
-using StealEligibleFn = common::FunctionRef<bool(const Request&)>;
-using StealBeforeFn =
-    common::FunctionRef<bool(const Request&, const Request&)>;
+// Which pending requests take() removes (the epoch-boundary passes select
+// by release seq, the request's handle within its server).
+using TakeFn = common::FunctionRef<bool(const Request&)>;
+using VisitFn = common::FunctionRef<void(const Request&)>;
 
 // The request containers: deque chunks come from the owning server's arena
 // (freelist-recycled, so steady-state push/pop touches no heap); with a
@@ -56,7 +54,7 @@ class PendingQueue {
 
   // push / requeue / pop_fitting / begin_instance run inside the serve
   // loop (every release, every activation): TSF_REALTIME — arena-backed
-  // storage keeps the steady state off the heap. drain / steal only run at
+  // storage keeps the steady state off the heap. drain / take only run at
   // epoch boundaries or end-of-run: TSF_BARRIER_ONLY.
   TSF_REALTIME
   virtual void push(Request r) = 0;
@@ -76,23 +74,23 @@ class PendingQueue {
   // Removes and returns everything still pending (end-of-run accounting).
   TSF_BARRIER_ONLY
   virtual std::vector<Request> drain() = 0;
-  // Removes and returns the request that `before` ranks first among those
-  // `eligible`, or nullopt when none is eligible — the victim side of the
-  // semi-partitioned work stealer. Only pending (never running) requests
-  // live in the queue, so a stolen job can never be mid-dispatch. A request
-  // can, however, be mid-*bind*: released at this very instant (an epoch
-  // boundary), with the home server's wake-up for it still in flight —
-  // TaskServer::steal_pending_request therefore excludes boundary-
-  // coincident releases from `eligible` before delegating here.
+  // Removes every request `pred` accepts, appending them to `out` in queue
+  // order, in one in-order pass; the rest keep their order. This is how
+  // work leaves a queue at an epoch boundary: a steal, a rebalance move or
+  // a governor shed, each naming its requests by handle. Only pending
+  // (never running) requests live in the queue, so a taken job can never
+  // be mid-dispatch. A request can, however, be mid-*bind*: released at
+  // this very instant, with the home server's wake-up for it still in
+  // flight — TaskServer::take_pending guards against that before
+  // delegating here.
   TSF_BARRIER_ONLY
-  virtual std::optional<Request> steal(const StealEligibleFn& eligible,
-                                       const StealBeforeFn& before) = 0;
-  // Read-only walk over every request steal() could reach, in queue order
+  virtual void take(const TakeFn& pred, std::vector<Request>* out) = 0;
+  // Read-only walk over every request take() could reach, in queue order
   // (the list-of-lists queue skips its parked unservable requests, exactly
-  // like steal does). The online rebalancer snapshots queues through this
-  // before deciding what — if anything — to move, so nothing is ever
-  // popped and re-pushed just to be put back.
-  virtual void visit(const std::function<void(const Request&)>& fn) const = 0;
+  // like take does). The boundary passes view queues through this before
+  // deciding what — if anything — to remove, so nothing is ever popped and
+  // re-pushed just to be put back.
+  virtual void visit(const VisitFn& fn) const = 0;
   // Called by instance-based servers at each activation; only the
   // list-of-lists queue reacts (it rotates to the next instance bucket).
   TSF_REALTIME
@@ -121,9 +119,8 @@ class StrictFifoQueue : public PendingQueue {
   TSF_BARRIER_ONLY
   std::vector<Request> drain() override;
   TSF_BARRIER_ONLY
-  std::optional<Request> steal(const StealEligibleFn& eligible,
-                               const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void take(const TakeFn& pred, std::vector<Request>* out) override;
+  void visit(const VisitFn& fn) const override;
 
  private:
   RequestDeque q_;
@@ -145,9 +142,8 @@ class FifoFirstFitQueue : public PendingQueue {
   TSF_BARRIER_ONLY
   std::vector<Request> drain() override;
   TSF_BARRIER_ONLY
-  std::optional<Request> steal(const StealEligibleFn& eligible,
-                               const StealBeforeFn& before) override;
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  void take(const TakeFn& pred, std::vector<Request>* out) override;
+  void visit(const VisitFn& fn) const override;
 
  private:
   RequestDeque q_;
@@ -178,16 +174,15 @@ class ListOfListsQueue : public PendingQueue {
   std::size_t size() const override;
   TSF_BARRIER_ONLY
   std::vector<Request> drain() override;
-  // Scans the active list and every future bucket (bucket loads are
-  // adjusted; an underfull bucket is harmless). Unservable requests are
-  // excluded — the thief's server replica has the same capacity, so they
-  // could not be served there either.
+  // Scans the active list and every future bucket: a bucket's load falls by
+  // what is taken (an underfull bucket is harmless) and a bucket emptied is
+  // dropped. Unservable requests are never taken — another core's server
+  // replica has the same capacity, so they could not be served there either.
   TSF_BARRIER_ONLY
-  std::optional<Request> steal(const StealEligibleFn& eligible,
-                               const StealBeforeFn& before) override;
+  void take(const TakeFn& pred, std::vector<Request>* out) override;
   // Active list, then every future bucket; parked unservable requests are
-  // skipped (they are outside steal's reach too).
-  void visit(const std::function<void(const Request&)>& fn) const override;
+  // skipped (they are outside take's reach too).
+  void visit(const VisitFn& fn) const override;
   // Rotates: unserved leftovers of the active list are re-registered, then
   // the first future bucket becomes the active list.
   TSF_REALTIME

@@ -1,5 +1,7 @@
 #include "core/task_server.h"
 
+#include <algorithm>
+
 #include "common/diag.h"
 
 namespace tsf::core {
@@ -100,33 +102,32 @@ void TaskServer::record_shed(const Request& request,
   shed_events_.push_back(std::move(ev));
 }
 
-bool TaskServer::shed_pending_request(const std::string& job,
-                                      rtsj::AbsoluteTime release) {
-  // The same mid-bind guard as stealing: a request released at this very
-  // boundary instant still has its server wake-up in flight.
+void TaskServer::take_pending(const TakeFn& pred, std::vector<Request>* out) {
   const rtsj::AbsoluteTime now = vm_.now();
-  std::optional<Request> taken = queue_->steal(
-      [&](const Request& r) {
-        return r.release < now && r.release == release &&
-               r.handler->name() == job;
-      },
-      [](const Request&, const Request&) { return false; });
-  if (!taken.has_value()) return false;
-  record_shed(*taken, "overload");
-  return true;
+  queue_->take([&](const Request& r) { return r.release < now && pred(r); },
+               out);
 }
 
-std::optional<Request> TaskServer::steal_pending_request(
-    const StealEligibleFn& eligible, const StealBeforeFn& before) {
-  // A release landing exactly on the current instant is still mid-bind: at
-  // an epoch boundary the fabric drain (or a boundary-coincident timer)
-  // just pushed it and the home server's wake-up is still in flight, so the
-  // stealer must not take it out from under that wake-up. Strictly earlier
-  // releases only.
-  const rtsj::AbsoluteTime now = vm_.now();
-  return queue_->steal(
-      [&](const Request& r) { return r.release < now && eligible(r); },
-      before);
+std::size_t TaskServer::shed_pending(
+    const std::vector<std::uint64_t>& handles) {
+  std::vector<std::uint64_t> wanted(handles);
+  std::sort(wanted.begin(), wanted.end());
+  std::vector<Request> taken;
+  take_pending(
+      [&](const Request& r) {
+        return std::binary_search(wanted.begin(), wanted.end(), r.seq);
+      },
+      &taken);
+  // `taken` is in queue order; the ledger follows the decision order.
+  std::sort(taken.begin(), taken.end(),
+            [](const Request& a, const Request& b) { return a.seq < b.seq; });
+  for (const std::uint64_t handle : handles) {
+    const auto it = std::lower_bound(
+        taken.begin(), taken.end(), handle,
+        [](const Request& r, std::uint64_t seq) { return r.seq < seq; });
+    if (it != taken.end() && it->seq == handle) record_shed(*it, "overload");
+  }
+  return taken.size();
 }
 
 TaskServer::DispatchResult TaskServer::dispatch(const Request& request,

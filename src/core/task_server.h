@@ -51,28 +51,25 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   void servable_event_released(ServableAsyncEventHandler* handler,
                                rtsj::AbsoluteTime release);
 
-  // The victim half of the semi-partitioned work stealer: removes the
-  // pending request `before` ranks first among the `eligible` ones. Only
-  // queued (never running) requests can be taken; the caller re-creates the
-  // job on the thief core. Returns nullopt when nothing is eligible.
+  // Removes every pending request `pred` accepts, appending them to `out`
+  // in queue order — the one way work leaves this server at an epoch
+  // boundary: the work stealer's and the rebalancer's moves (the caller
+  // re-creates the job on its new core) and the governor's sheds
+  // (shed_pending). Only queued (never running) requests can be taken.
   //
   // Requests whose release coincides with the current VM instant are never
-  // eligible: at a lock-step epoch boundary such a request was bound into
-  // the queue by this very boundary's fabric drain (or a timer firing at
-  // it), and the server's own wake-up for it is still in flight — stealing
-  // it mid-bind would leave the home core reacting to a request that no
+  // taken: at a lock-step epoch boundary such a request was bound into the
+  // queue by this very boundary's fabric drain (or a timer firing at it),
+  // and the server's own wake-up for it is still in flight — taking it
+  // mid-bind would leave the home core reacting to a request that no
   // longer exists. Only strictly earlier releases can be taken.
   TSF_BARRIER_ONLY
-  std::optional<Request> steal_pending_request(const StealEligibleFn& eligible,
-                                               const StealBeforeFn& before);
+  void take_pending(const TakeFn& pred, std::vector<Request>* out);
 
-  // Read-only walk over the stealable queue (same reach as
-  // steal_pending_request, including requests the mid-bind rule would
-  // reject) — the online rebalancer snapshots pending work through this
-  // before deciding what to move.
-  void visit_pending(const std::function<void(const Request&)>& fn) const {
-    queue_->visit(fn);
-  }
+  // Read-only walk over the pending queue (same reach as take_pending,
+  // including requests the mid-bind rule would reject) — the boundary
+  // passes view pending work through this before deciding what to remove.
+  void visit_pending(const VisitFn& fn) const { queue_->visit(fn); }
 
   // Swaps the pending queue for the D-over overload discipline
   // (core/dover_queue.h): privileged-set admission on every release plus the
@@ -87,13 +84,14 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   void enable_dover(DOverParams dover);
   bool dover_enabled() const { return dover_enabled_; }
 
-  // The utilization governor's shed hook (overload = shed): drops the
-  // pending request matching (job, release) — removed from the queue,
-  // outcome marked shed, kShed trace record and ledger event emitted with
-  // reason "overload". Returns false when no such request is pending.
+  // The utilization governor's shed hook (overload = shed): removes the
+  // pending requests whose seqs `handles` lists in one take_pending pass,
+  // then records each — outcome marked shed, kShed trace record and ledger
+  // event, reason "overload" — in the order `handles` lists them (the
+  // governor's decision order). Handles no longer pending are skipped.
+  // Returns the number shed.
   TSF_BARRIER_ONLY
-  bool shed_pending_request(const std::string& job,
-                            rtsj::AbsoluteTime release);
+  std::size_t shed_pending(const std::vector<std::uint64_t>& handles);
 
   // Every overload decision taken on this server, in decision order — the
   // exactly-once ledger half the invariant checker reconciles.

@@ -12,8 +12,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
@@ -52,23 +55,52 @@ struct MigratedJob {
 // declaration order, which keeps the declaration-order-invariance
 // determinism property true under the global/semi-partitioned policies.
 inline bool schedules_before(double value_a, common::TimePoint release_a,
-                             const std::string& name_a, double value_b,
+                             std::string_view name_a, double value_b,
                              common::TimePoint release_b,
-                             const std::string& name_b) {
+                             std::string_view name_b) {
   if (value_a != value_b) return value_a > value_b;
   if (release_a != release_b) return release_a < release_b;
   return name_a < name_b;
 }
 
-// A pending request removed from a core's queue by the work stealer:
-// the job identity plus its original release instant, preserved so the
-// outcome on the thief core keeps the true response time (and so
-// mp::merge_results can deduplicate by (job, release) against the home
-// core's bookkeeping).
+// A pending request removed from a core's queue by the work stealer or the
+// rebalancer: the job identity plus its original release instant,
+// preserved so the outcome on the thief core keeps the true response time
+// (and so mp::merge_results can deduplicate by (job, release) against the
+// home core's bookkeeping).
 struct StolenJob {
   MigratedJob job;
   common::TimePoint release = common::TimePoint::never();
 };
+
+// One pending request as an epoch-boundary pass sees it: the fields the
+// steal, rebalance and shed orderings read, plus the handle the pass hands
+// back to remove it. A view is valid for one pass only — until the queue
+// it came from next changes.
+struct PendingView {
+  std::uint64_t handle = 0;  // the request's release seq on its server
+  std::string_view job;      // the handler's name, owned by the endpoint
+  common::TimePoint release = common::TimePoint::never();
+  common::Duration declared_cost = common::Duration::zero();
+  double value = 0.0;  // effective: the declared cost when unset
+  // Firm deadline relative to release; zero = soft (never shed).
+  common::Duration relative_deadline = common::Duration::zero();
+};
+
+// Index of the view schedules_before ranks first in a non-empty span (the
+// earliest in queue order among equals).
+inline std::size_t first_scheduled(std::span<const PendingView> views) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < views.size(); ++i) {
+    const PendingView& a = views[i];
+    const PendingView& b = views[best];
+    if (schedules_before(a.value, a.release, a.job, b.value, b.release,
+                         b.job)) {
+      best = i;
+    }
+  }
+  return best;
+}
 
 // One core's outbound side of the channel fabric. A handler that completes a
 // job with a `fires` target posts here, mid-epoch; delivery happens at a
@@ -120,30 +152,24 @@ class CoreEndpoint {
     (void)release;
     deliver_migrated(job);
   }
-  // Removes and returns the highest-priority *stealable* pending request
-  // (unpinned job, not currently being served), or nullopt when none exists.
+  // Appends a view of every pending request the work stealer and the
+  // rebalancer may move right now — stealable (unpinned) and released
+  // strictly before the current instant — in queue order.
   TSF_BARRIER_ONLY
-  virtual std::optional<StolenJob> steal_pending() { return std::nullopt; }
+  virtual void stealable_views(std::vector<PendingView>* out) const {
+    (void)out;
+  }
+  // Removes the pending request a view of this boundary named by `handle`
+  // and returns it for delivery elsewhere, or nullopt if it is no longer
+  // there.
+  TSF_BARRIER_ONLY
+  virtual std::optional<StolenJob> steal(std::uint64_t handle) {
+    (void)handle;
+    return std::nullopt;
+  }
 
   // --- load sensing / online admission (mp::Rebalancer; defaults keep
   //     plain endpoints working unchanged)
-
-  // Read-only copies of every pending request steal_pending could take
-  // right now (stealable and released strictly before the current instant),
-  // in queue order. The rebalancer packs from this snapshot and then
-  // removes, via steal_exact, only the requests that actually move — so an
-  // unplaceable request is never popped and re-released.
-  TSF_BARRIER_ONLY
-  virtual std::vector<StolenJob> stealable_snapshot() const { return {}; }
-  // Removes the specific pending request the snapshot promised (matched by
-  // (job, release)), or nullopt if it is no longer there.
-  TSF_BARRIER_ONLY
-  virtual std::optional<StolenJob> steal_exact(const std::string& job,
-                                               common::TimePoint release) {
-    (void)job;
-    (void)release;
-    return std::nullopt;
-  }
 
   // Cumulative declared cost of every aperiodic request released on this
   // core so far — the signal the online rebalancer integrates over its
@@ -164,29 +190,21 @@ class CoreEndpoint {
   // --- overload shedding (mp::OverloadGovernor; defaults keep plain
   //     endpoints working unchanged)
 
-  // A pending firm request the governor may drop: identity plus the fields
-  // its lowest-value-density-first ordering needs.
-  struct ShedCandidate {
-    std::string job;
-    common::TimePoint release = common::TimePoint::never();
-    common::Duration declared_cost = common::Duration::zero();
-    double value = 0.0;
-    common::Duration relative_deadline = common::Duration::zero();
-  };
-  // Read-only copies of every pending request the governor could shed right
-  // now: firm (non-zero relative deadline), released strictly before the
-  // current instant, and not currently being served. Queue order.
+  // Appends a view of every pending request the governor may shed right
+  // now — firm (non-zero relative deadline), released strictly before the
+  // current instant, not being served — in queue order.
   TSF_BARRIER_ONLY
-  virtual std::vector<ShedCandidate> shed_candidates() const { return {}; }
-  // Drops the specific pending request the snapshot promised (matched by
-  // (job, release)): removes it from the queue, records the shed outcome,
-  // the kShed trace record and the ledger event. Returns false if the
-  // request is no longer pending.
+  virtual void sheddable_views(std::vector<PendingView>* out) const {
+    (void)out;
+  }
+  // Drops the pending requests views of this boundary named by `handles`
+  // in one pass over the queue, and records each — shed outcome, kShed
+  // trace record, ledger event — in the order `handles` lists them.
+  // Returns the number dropped; handles no longer pending are skipped.
   TSF_BARRIER_ONLY
-  virtual bool shed_exact(const std::string& job, common::TimePoint release) {
-    (void)job;
-    (void)release;
-    return false;
+  virtual std::size_t shed(const std::vector<std::uint64_t>& handles) {
+    (void)handles;
+    return 0;
   }
 };
 

@@ -82,6 +82,16 @@ std::unique_ptr<core::TaskServer> make_server(
 
 }  // namespace
 
+class ExecSystem::JobHandler final : public core::ServableAsyncEventHandler {
+ public:
+  JobHandler(const std::string& name, common::Duration declared, Logic logic,
+             JobInfo job)
+      : ServableAsyncEventHandler(name, declared, std::move(logic)),
+        info(std::move(job)) {}
+
+  const JobInfo info;
+};
+
 ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
                        const model::SystemSpec& spec,
                        const ExecOptions& options, CrossCorePort* port)
@@ -141,11 +151,11 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
     }
     core::TaskServer::DOverParams dover;
     dover.importance_ratio = dmin > 0.0 ? dmax / dmin : 1.0;
-    dover.meta = [this](const core::Request& r) {
-      const JobInfo& info = info_of(r);
+    dover.meta = [](const core::Request& r) {
+      const PendingView view = view_of(r);
       core::DOverQueue::JobMeta meta;
-      meta.value = info.value == 0.0 ? info.declared.to_tu() : info.value;
-      meta.relative_deadline = info.relative_deadline;
+      meta.value = view.value;
+      meta.relative_deadline = view.relative_deadline;
       return meta;
     };
     server_->enable_dover(std::move(dover));
@@ -192,16 +202,15 @@ void ExecSystem::build_job(const std::string& name, common::Duration declared,
       fire_target(fires);
     };
   }
-  handlers_.push_back(std::make_unique<core::ServableAsyncEventHandler>(
-      name, declared, std::move(logic)));
+  handlers_.push_back(std::make_unique<JobHandler>(
+      name, declared, std::move(logic),
+      JobInfo{actual, fires, value, stealable, relative_deadline}));
   handlers_.back()->set_server(server_.get());
   events_.push_back(
       std::make_unique<core::ServableAsyncEvent>(vm_, name + ".e"));
   events_.back()->add_handler(handlers_.back().get());
   events_by_job_[name] = events_.back().get();
   handlers_by_job_[name] = handlers_.back().get();
-  job_info_[name] =
-      JobInfo{declared, actual, fires, value, stealable, relative_deadline};
   if (with_timer) {
     timers_.push_back(std::make_unique<rtsj::OneShotTimer>(
         vm_, release, events_.back().get()));
@@ -262,19 +271,29 @@ void ExecSystem::deliver_job(const MigratedJob& job,
   server_->servable_event_released(handlers_by_job_[job.name], release);
 }
 
-const ExecSystem::JobInfo& ExecSystem::info_of(
-    const core::Request& r) const {
-  auto it = job_info_.find(r.handler->name());
-  TSF_ASSERT(it != job_info_.end(),
-             "pending request for unknown job " << r.handler->name());
-  return it->second;
+const ExecSystem::JobInfo& ExecSystem::info_of(const core::Request& r) {
+  // Every request on this system's server was released by a handler
+  // build_job made.
+  return static_cast<const JobHandler*>(r.handler)->info;
 }
 
-StolenJob ExecSystem::to_stolen(const core::Request& r) const {
+PendingView ExecSystem::view_of(const core::Request& r) {
+  const JobInfo& info = info_of(r);
+  PendingView view;
+  view.handle = r.seq;
+  view.job = r.handler->name();
+  view.release = r.release;
+  view.declared_cost = r.handler->cost();
+  view.value = info.value == 0.0 ? view.declared_cost.to_tu() : info.value;
+  view.relative_deadline = info.relative_deadline;
+  return view;
+}
+
+StolenJob ExecSystem::to_stolen(const core::Request& r) {
   const JobInfo& info = info_of(r);
   StolenJob stolen;
   stolen.job.name = r.handler->name();
-  stolen.job.declared_cost = info.declared;
+  stolen.job.declared_cost = r.handler->cost();
   stolen.job.actual_cost = info.actual;
   stolen.job.fires = info.fires;
   stolen.job.value = info.value;
@@ -283,81 +302,46 @@ StolenJob ExecSystem::to_stolen(const core::Request& r) const {
   return stolen;
 }
 
-std::optional<StolenJob> ExecSystem::steal_pending() {
-  if (server_ == nullptr) return std::nullopt;
-  auto request = server_->steal_pending_request(
-      [&](const core::Request& r) { return info_of(r).stealable; },
-      [&](const core::Request& a, const core::Request& b) {
-        const JobInfo& ia = info_of(a);
-        const JobInfo& ib = info_of(b);
-        const double va = ia.value == 0.0 ? ia.declared.to_tu() : ia.value;
-        const double vb = ib.value == 0.0 ? ib.declared.to_tu() : ib.value;
-        return schedules_before(va, a.release, a.handler->name(), vb,
-                                b.release, b.handler->name());
-      });
-  if (!request.has_value()) return std::nullopt;
-  stolen_away_.insert(request->handler->name());
-  return to_stolen(*request);
-}
-
-std::vector<StolenJob> ExecSystem::stealable_snapshot() const {
-  std::vector<StolenJob> out;
-  if (server_ == nullptr) return out;
+void ExecSystem::stealable_views(std::vector<PendingView>* out) const {
+  if (server_ == nullptr) return;
   const common::TimePoint now = vm_.now();
   server_->visit_pending([&](const core::Request& r) {
-    // Same reach as steal_pending: stealable jobs whose release is
-    // strictly earlier than the current (boundary) instant — a
-    // boundary-coincident release is still mid-bind.
-    if (r.release < now && info_of(r).stealable) out.push_back(to_stolen(r));
+    // Stealable jobs whose release is strictly earlier than the current
+    // (boundary) instant — a boundary-coincident release is still
+    // mid-bind, and take_pending would refuse it.
+    if (r.release < now && info_of(r).stealable) out->push_back(view_of(r));
   });
-  return out;
 }
 
-std::optional<StolenJob> ExecSystem::steal_exact(const std::string& job,
-                                                 common::TimePoint release) {
+std::optional<StolenJob> ExecSystem::steal(std::uint64_t handle) {
   if (server_ == nullptr) return std::nullopt;
-  auto request = server_->steal_pending_request(
-      [&](const core::Request& r) {
-        return r.handler->name() == job && r.release == release &&
-               info_of(r).stealable;
-      },
-      [](const core::Request& a, const core::Request& b) {
-        return a.seq < b.seq;  // two identical (job, release): oldest first
-      });
-  if (!request.has_value()) return std::nullopt;
-  stolen_away_.insert(request->handler->name());
-  return to_stolen(*request);
+  std::vector<core::Request> taken;
+  server_->take_pending(
+      [handle](const core::Request& r) { return r.seq == handle; }, &taken);
+  if (taken.empty()) return std::nullopt;
+  stolen_away_.insert(taken.front().handler->name());
+  return to_stolen(taken.front());
 }
 
 common::Duration ExecSystem::released_cost() const {
   return server_ != nullptr ? server_->released_cost() : common::Duration::zero();
 }
 
-std::vector<CoreEndpoint::ShedCandidate> ExecSystem::shed_candidates() const {
-  std::vector<ShedCandidate> out;
-  if (server_ == nullptr) return out;
+void ExecSystem::sheddable_views(std::vector<PendingView>* out) const {
+  if (server_ == nullptr) return;
   const common::TimePoint now = vm_.now();
   server_->visit_pending([&](const core::Request& r) {
     // Sheddable = firm (carries a deadline) and released strictly before
     // this boundary instant — a boundary-coincident release is still
     // mid-bind, exactly like the steal guard.
-    const JobInfo& info = info_of(r);
-    if (info.relative_deadline.is_zero() || r.release >= now) return;
-    ShedCandidate c;
-    c.job = r.handler->name();
-    c.release = r.release;
-    c.declared_cost = info.declared;
-    c.value = info.value == 0.0 ? info.declared.to_tu() : info.value;
-    c.relative_deadline = info.relative_deadline;
-    out.push_back(std::move(c));
+    if (r.release < now && !info_of(r).relative_deadline.is_zero()) {
+      out->push_back(view_of(r));
+    }
   });
-  return out;
 }
 
-bool ExecSystem::shed_exact(const std::string& job,
-                            common::TimePoint release) {
-  if (server_ == nullptr) return false;
-  return server_->shed_pending_request(job, release);
+std::size_t ExecSystem::shed(const std::vector<std::uint64_t>& handles) {
+  return server_ != nullptr ? server_->shed_pending(handles) : 0;
 }
 
 bool ExecSystem::admit_task(const model::PeriodicTaskSpec& task) {

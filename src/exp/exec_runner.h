@@ -133,28 +133,24 @@ class ExecSystem : public CoreEndpoint {
   void deliver_job(const MigratedJob& job,
                    common::TimePoint release) override;
   TSF_BARRIER_ONLY
-  std::optional<StolenJob> steal_pending() override;
+  void stealable_views(std::vector<PendingView>* out) const override;
   TSF_BARRIER_ONLY
-  std::vector<StolenJob> stealable_snapshot() const override;
-  TSF_BARRIER_ONLY
-  std::optional<StolenJob> steal_exact(const std::string& job,
-                                       common::TimePoint release) override;
+  std::optional<StolenJob> steal(std::uint64_t handle) override;
   common::Duration released_cost() const override;
   TSF_BARRIER_ONLY
   bool admit_task(const model::PeriodicTaskSpec& task) override;
   TSF_BARRIER_ONLY
-  std::vector<ShedCandidate> shed_candidates() const override;
+  void sheddable_views(std::vector<PendingView>* out) const override;
   TSF_BARRIER_ONLY
-  bool shed_exact(const std::string& job,
-                  common::TimePoint release) override;
+  std::size_t shed(const std::vector<std::uint64_t>& handles) override;
 
  private:
-  // What deliver_job / steal_pending need to rebuild a job elsewhere: the
-  // identity build_job was given, plus whether the work stealer may take a
-  // pending release of it (spec affinity == -1; delivered jobs are always
-  // unpinned by construction).
+  // What a steal or a rebalance move needs to rebuild a job elsewhere,
+  // beyond its name and declared cost: the rest of what build_job was
+  // given, plus whether the work stealer may take a pending release of it
+  // (spec affinity == -1; delivered jobs are always unpinned by
+  // construction).
   struct JobInfo {
-    common::Duration declared = common::Duration::zero();
     common::Duration actual = common::Duration::zero();
     std::string fires;
     double value = 0.0;  // scheduling value (0 = declared cost)
@@ -162,9 +158,13 @@ class ExecSystem : public CoreEndpoint {
     // Firm deadline relative to release; zero = soft (never shed).
     common::Duration relative_deadline = common::Duration::zero();
   };
+  // Every handler this system builds carries its job's JobInfo, so a
+  // pending request reaches it through its handler pointer.
+  class JobHandler;
 
-  const JobInfo& info_of(const core::Request& r) const;
-  StolenJob to_stolen(const core::Request& r) const;
+  static const JobInfo& info_of(const core::Request& r);
+  static PendingView view_of(const core::Request& r);
+  static StolenJob to_stolen(const core::Request& r);
   // Builds one periodic task's RealtimeThread (body records
   // PeriodicOutcomes against task.start + k * period).
   rtsj::RealtimeThread* build_task(const model::PeriodicTaskSpec& task);
@@ -185,12 +185,11 @@ class ExecSystem : public CoreEndpoint {
   CrossCorePort* port_ = nullptr;
   std::unique_ptr<core::TaskServer> server_;
   std::vector<std::unique_ptr<rtsj::RealtimeThread>> threads_;
-  std::vector<std::unique_ptr<core::ServableAsyncEventHandler>> handlers_;
+  std::vector<std::unique_ptr<JobHandler>> handlers_;
   std::vector<std::unique_ptr<core::ServableAsyncEvent>> events_;
   std::vector<std::unique_ptr<rtsj::OneShotTimer>> timers_;
   std::map<std::string, core::ServableAsyncEvent*> events_by_job_;
-  std::map<std::string, core::ServableAsyncEventHandler*> handlers_by_job_;
-  std::map<std::string, JobInfo> job_info_;
+  std::map<std::string, JobHandler*> handlers_by_job_;
   // Jobs a steal removed from this core's queue (and that never came
   // back): their fate is recorded by the thief core, so collect() must not
   // book the usual never-ran placeholder for them.

@@ -54,24 +54,9 @@ bool OverloadGovernor::shed_pass() {
     if (measured_[c] <= config_.threshold) continue;
     ran = true;
 
-    auto candidates = endpoint->shed_candidates();
-    if (candidates.empty()) continue;
-    // Lowest value density first: shedding frees the overshoot's worth of
-    // declared cost while giving up the least scheduling value — the same
-    // value-density ordering D-over's competitive argument is built on.
-    // Ties break on (release, name) so the pass is deterministic for any
-    // candidate enumeration order.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const exp::CoreEndpoint::ShedCandidate& a,
-                 const exp::CoreEndpoint::ShedCandidate& b) {
-                const double da =
-                    a.value / std::max(1.0, a.declared_cost.to_tu());
-                const double db =
-                    b.value / std::max(1.0, b.declared_cost.to_tu());
-                if (da != db) return da < db;
-                if (a.release != b.release) return a.release < b.release;
-                return a.job < b.job;
-              });
+    candidates_.clear();
+    endpoint->sheddable_views(&candidates_);
+    if (candidates_.empty()) continue;
 
     // Budget: the overshoot rate sustained over one measurement window of
     // declared cost. Shedding more would throw away work a <=threshold core
@@ -79,12 +64,37 @@ bool OverloadGovernor::shed_pass() {
     // pass with the same backlog.
     const double overshoot = measured_[c] - config_.threshold;
     const double budget_tu = overshoot * config_.period.to_tu();
+
+    // Lowest value density first: shedding frees the overshoot's worth of
+    // declared cost while giving up the least scheduling value — the same
+    // value-density ordering D-over's competitive argument is built on.
+    // Ties break on (release, name, queue order), so the pass is
+    // deterministic. Only the shed prefix is ever ordered: a heap over the
+    // candidates' indexes yields them one at a time until the budget is
+    // spent.
+    const auto sheds_after = [this](std::size_t i, std::size_t j) {
+      const exp::PendingView& a = candidates_[i];
+      const exp::PendingView& b = candidates_[j];
+      const double da = a.value / std::max(1.0, a.declared_cost.to_tu());
+      const double db = b.value / std::max(1.0, b.declared_cost.to_tu());
+      if (da != db) return da > db;
+      if (a.release != b.release) return a.release > b.release;
+      if (a.job != b.job) return a.job > b.job;
+      return i > j;
+    };
+    heap_.resize(candidates_.size());
+    for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i] = i;
+    std::make_heap(heap_.begin(), heap_.end(), sheds_after);
+    handles_.clear();  // in decision order
     double removed_tu = 0.0;
-    for (const auto& cand : candidates) {
-      if (removed_tu >= budget_tu) break;
-      if (!endpoint->shed_exact(cand.job, cand.release)) continue;
+    while (!heap_.empty() && removed_tu < budget_tu) {
+      std::pop_heap(heap_.begin(), heap_.end(), sheds_after);
+      const exp::PendingView& cand = candidates_[heap_.back()];
+      heap_.pop_back();
+      handles_.push_back(cand.handle);
       removed_tu += cand.declared_cost.to_tu();
     }
+    endpoint->shed(handles_);
   }
   return ran;
 }

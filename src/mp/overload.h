@@ -10,10 +10,13 @@
 // own period); when a core's measured utilization exceeds `threshold`, the
 // pass drops pending *sheddable* work — firm (deadline-carrying), released
 // before the boundary, not being served — in lowest-value-density-first
-// order until the overshoot's worth of declared cost is gone. Every drop
-// goes through CoreEndpoint::shed_exact, which records the shed outcome, the
-// kShed trace record and the exactly-once ledger entry the invariant checker
-// reconciles (FORBIDDEN_BEHAVIOR_CATALOG.md).
+// order until the overshoot's worth of declared cost is gone. It reads the
+// core's backlog as one-pass views (CoreEndpoint::sheddable_views),
+// heap-selects only the prefix it sheds, and drops that set by handle in
+// one pass over the queue through CoreEndpoint::shed, which records each
+// shed outcome, kShed trace record and exactly-once ledger entry the
+// invariant checker reconciles (FORBIDDEN_BEHAVIOR_CATALOG.md), in
+// decision order.
 //
 // Passes are rate-limited to one per `period`, sharing the knob with the
 // measurement window — the spec's `overload_period`.
@@ -26,6 +29,7 @@
 #include "common/annotations.h"
 #include "common/invariant_checker.h"
 #include "common/time.h"
+#include "exp/cross_core.h"
 #include "exp/overload.h"
 #include "model/spec.h"
 
@@ -69,6 +73,11 @@ class OverloadGovernor {
   ChannelFabric& fabric_;
   LoadMeter& meter_;
   std::vector<double> measured_;
+  // shed_pass scratch, kept so a pass reuses the last one's capacity: one
+  // core's candidates, the heap of their indexes and the handles chosen.
+  std::vector<exp::PendingView> candidates_;
+  std::vector<std::size_t> heap_;
+  std::vector<std::uint64_t> handles_;
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;
 };

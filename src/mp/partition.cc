@@ -42,15 +42,22 @@ double Partition::total_utilization() const {
 
 std::vector<int> Partitioner::pack_items(
     const std::vector<PartitionItem>& items, std::vector<double>& loads) const {
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&items](std::size_t a, std::size_t b) {
-                     return items[a].utilization > items[b].utilization;
-                   });
+  // Decreasing utilization, ties in item order: (-u, index) keys sort to
+  // exactly the order a stable sort on utilization gives.
+  std::vector<std::pair<double, std::size_t>> order(items.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = {-items[i].utilization, i};
+  }
+  std::sort(order.begin(), order.end());
   const int cores = static_cast<int>(loads.size());
   std::vector<int> placement(items.size(), -1);
-  for (const std::size_t i : order) {
+  if (order.empty() || loads.empty()) return placement;
+  const double smallest = -order.back().first;
+  for (const auto& key : order) {
+    // Loads only grow and items only shrink from here on, so once the
+    // emptiest bin cannot take the smallest item nothing else fits.
+    if (!fits(*std::min_element(loads.begin(), loads.end()), smallest)) break;
+    const std::size_t i = key.second;
     const PartitionItem& item = items[i];
     int chosen = -1;
     if (item.affinity >= 0) {

@@ -60,39 +60,28 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   }
   if (max_drift <= config_.drift) return false;
 
-  // Snapshot (read-only) the movable backlog of every drifted core: the
+  // View (read-only) the movable backlog of every drifted core: the
   // stealable pending requests minus one — the highest-priority request
   // stays local, the same keep-local-work rule the semi stealer's victims
-  // follow. Boundary-coincident (mid-bind) releases are outside the
-  // snapshot by construction.
-  struct Movable {
-    exp::StolenJob stolen;
-    std::size_t from;
-  };
-  std::vector<Movable> movable;
+  // follow. Boundary-coincident (mid-bind) releases are outside the view
+  // by construction.
+  movable_.clear();
+  from_.clear();
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
     if (measured_[c] - packed_util_[c] <= config_.drift) continue;
     exp::CoreEndpoint* victim = fabric_.endpoint(c);
     if (victim == nullptr) continue;
-    auto snapshot = victim->stealable_snapshot();
-    if (snapshot.empty()) continue;
-    if (snapshot.size() >= victim->queue_depth()) {
-      std::size_t keep = 0;
-      for (std::size_t i = 1; i < snapshot.size(); ++i) {
-        const auto& a = snapshot[i];
-        const auto& b = snapshot[keep];
-        if (exp::schedules_before(a.job.effective_value(), a.release,
-                                  a.job.name, b.job.effective_value(),
-                                  b.release, b.job.name)) {
-          keep = i;
-        }
-      }
-      snapshot.erase(snapshot.begin() +
-                     static_cast<std::ptrdiff_t>(keep));
+    const std::size_t first = movable_.size();
+    victim->stealable_views(&movable_);
+    const std::size_t count = movable_.size() - first;
+    if (count > 0 && count >= victim->queue_depth()) {
+      const std::size_t keep =
+          first + exp::first_scheduled({movable_.data() + first, count});
+      movable_.erase(movable_.begin() + static_cast<std::ptrdiff_t>(keep));
     }
-    for (auto& s : snapshot) movable.push_back({std::move(s), c});
+    from_.resize(movable_.size(), c);
   }
-  if (movable.empty()) return true;  // triggered; nothing was movable
+  if (movable_.empty()) return true;  // triggered; nothing was movable
 
   // Re-run the offline packer on live state: bins carry the *measured*
   // utilization, a pending request weighs its declared cost per server
@@ -107,28 +96,23 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   }
   const double service_period =
       spec_.server.period.is_zero() ? 1.0 : spec_.server.period.to_tu();
-  std::vector<PartitionItem> items;
-  items.reserve(movable.size());
-  for (const auto& m : movable) {
-    PartitionItem item;
-    item.kind = PartitionItem::Kind::kTask;
-    item.name = m.stolen.job.name;
-    item.utilization = m.stolen.job.declared_cost.to_tu() / service_period;
-    items.push_back(std::move(item));
+  std::vector<PartitionItem> items(movable_.size());
+  for (std::size_t i = 0; i < movable_.size(); ++i) {
+    items[i].utilization = movable_[i].declared_cost.to_tu() / service_period;
   }
   const std::vector<int> placement = packer_.pack_items(items, bins);
 
   // Only the requests the packer sent to a *different* core are removed
   // from their queues; everything else was never touched — no phantom
-  // re-release, no queue-order churn for work that stays.
-  for (std::size_t i = 0; i < movable.size(); ++i) {
+  // re-release, no queue-order churn for work that stays. Each move takes
+  // and then delivers before the next one, so a core that is both a source
+  // and a target sees its records in movable order.
+  for (std::size_t i = 0; i < movable_.size(); ++i) {
     if (placement[i] < 0) continue;  // fits nowhere better: stays put
     const auto target = static_cast<std::size_t>(placement[i]);
-    const std::size_t from = movable[i].from;
-    if (target == from) continue;  // re-packed home: stays put
-    auto stolen = fabric_.endpoint(from)->steal_exact(
-        movable[i].stolen.job.name, movable[i].stolen.release);
-    if (!stolen.has_value()) continue;  // raced away (defensive; VMs paused)
+    if (target == from_[i]) continue;  // re-packed home: stays put
+    auto stolen = fabric_.endpoint(from_[i])->steal(movable_[i].handle);
+    if (!stolen.has_value()) continue;  // gone (defensive; VMs paused)
     fabric_.endpoint(target)->deliver_job(stolen->job, stolen->release);
     // The meter compensates for this re-release from the ledger record
     // below at its next sample: the target's released_cost and its
@@ -137,7 +121,7 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
     exp::ChannelDelivery d;
     d.kind = exp::ChannelDelivery::Kind::kRebalance;
     d.job = stolen->job.name;
-    d.from_core = from;
+    d.from_core = from_[i];
     d.to_core = target;
     d.posted = stolen->release;
     d.delivered = boundary;

@@ -21,12 +21,14 @@
 //
 //  * drift (modes kDrift and kAdmit) — when some core's measured
 //    utilization exceeds its packed utilization by more than `drift`, the
-//    pending unpinned requests of every drifted core are handed back to the
+//    pending unpinned requests of every drifted core, read as one-pass
+//    views (CoreEndpoint::stealable_views), are handed back to the
 //    *existing* FFD/WFD/BFD packer (Partitioner::pack_items) against bins
-//    loaded with the measured utilizations, and each request migrates to
-//    its re-packed home through the fabric: release-preserving like a
-//    `semi` steal, recorded exactly once in the channel ledger as a
-//    ChannelDelivery::Kind::kRebalance.
+//    loaded with the measured utilizations, and each request the packer
+//    sends elsewhere is removed by handle (CoreEndpoint::steal) and
+//    migrates to its re-packed home through the fabric, one move at a time:
+//    release-preserving like a `semi` steal, recorded exactly once in the
+//    channel ledger as a ChannelDelivery::Kind::kRebalance.
 //
 //  * admission (mode kAdmit) — when the offline rejection list is non-empty
 //    and measured headroom has appeared, rejected periodic tasks are
@@ -54,6 +56,7 @@
 
 #include "common/annotations.h"
 #include "common/time.h"
+#include "exp/cross_core.h"
 #include "model/spec.h"
 #include "mp/partition.h"
 
@@ -124,6 +127,10 @@ class Rebalancer {
   std::vector<double> packed_util_;
   std::vector<double> measured_;
   std::vector<Rejection> rejected_;  // offline rejections not yet admitted
+  // migrate_pass scratch, kept so a pass reuses the last one's capacity:
+  // the movable requests and the core each one is pending on.
+  std::vector<exp::PendingView> movable_;
+  std::vector<std::size_t> from_;
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;
   std::uint64_t migrations_ = 0;

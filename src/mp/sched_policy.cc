@@ -124,8 +124,13 @@ void SchedPolicyEngine::steal_pass(TimePoint boundary) {
               });
 
     for (const auto& [depth, victim] : victims) {
-      auto stolen = fabric_.endpoint(victim)->steal_pending();
-      if (!stolen.has_value()) continue;  // nothing eligible; next victim
+      // The victim's highest-priority stealable request, removed by handle.
+      exp::CoreEndpoint* source = fabric_.endpoint(victim);
+      std::vector<exp::PendingView> views;
+      source->stealable_views(&views);
+      if (views.empty()) continue;  // nothing eligible; next victim
+      auto stolen = source->steal(views[exp::first_scheduled(views)].handle);
+      if (!stolen.has_value()) continue;
       taker->deliver_job(stolen->job, stolen->release);
       ++steals_;
       exp::ChannelDelivery d;

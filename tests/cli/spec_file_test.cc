@@ -90,6 +90,53 @@ TEST(SpecFile, BadNumbersRejected) {
   EXPECT_NE(outcome.errors.front().find("number"), std::string::npos);
 }
 
+// Hostile numbers: each of these used to abort the run or slip through as
+// a garbage value. Now each is a spec error on its own line.
+std::string hostile_spec(const std::string& server_key,
+                         const std::string& run_key) {
+  return "[server]\npolicy = polling\ncapacity = 2\nperiod = 6\n" +
+         server_key + "\n[run]\nhorizon = 18\nmode = exec\n" + run_key +
+         "\n";
+}
+
+void expect_one_error_on_line(const std::string& text, int line,
+                              const std::string& fragment) {
+  const auto outcome = parse_spec(text);
+  ASSERT_EQ(outcome.errors.size(), 1u) << text;
+  EXPECT_EQ(outcome.errors.front().rfind("line " + std::to_string(line) + ":",
+                                         0),
+            0u)
+      << outcome.errors.front();
+  EXPECT_NE(outcome.errors.front().find(fragment), std::string::npos)
+      << outcome.errors.front();
+}
+
+TEST(SpecFile, RejectsNanPeriod) {
+  expect_one_error_on_line(hostile_spec("period = nan", ""), 5, "finite");
+}
+
+TEST(SpecFile, RejectsInfiniteCapacity) {
+  expect_one_error_on_line(hostile_spec("capacity = inf", ""), 5, "finite");
+}
+
+TEST(SpecFile, RejectsHorizonAtOrBeyondNever) {
+  expect_one_error_on_line(hostile_spec("", "horizon = 1e300"), 9,
+                           "too long");
+  // 2^60 ticks is Duration::infinite(), the "never" sentinel itself.
+  expect_one_error_on_line(
+      hostile_spec("", "horizon = 1152921504606846.976"), 9, "too long");
+  const auto below = parse_spec(
+      hostile_spec("", "horizon = 1152921504606846"));
+  EXPECT_TRUE(below.ok()) << below.errors.front();
+}
+
+TEST(SpecFile, RejectsCoresOutsideInt) {
+  expect_one_error_on_line(hostile_spec("", "cores = 1e30"), 9,
+                           "out of range");
+  expect_one_error_on_line(hostile_spec("", "cores = -1e30"), 9,
+                           "out of range");
+}
+
 TEST(SpecFile, NamelessTaskRejected) {
   const auto outcome = parse_spec("[task]\nperiod=5\ncost=1\n"
                                   "[run]\nhorizon=10\n");

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/dover_queue.h"
+#include "core/polling_task_server.h"
 #include "core/servable_async_event_handler.h"
+#include "rtsj/vm/vm.h"
 
 namespace tsf::core {
 namespace {
@@ -185,6 +190,157 @@ TEST(ListOfListsQueue, OversizedRequestsParkedNotBlocking) {
   const auto rest = q.drain();
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].handler->name(), "huge");
+}
+
+// take() names what leaves by predicate; these tests name by release seq,
+// the handle the epoch-boundary passes use.
+auto seq_in(std::vector<std::uint64_t> seqs) {
+  return [seqs = std::move(seqs)](const Request& r) {
+    return std::find(seqs.begin(), seqs.end(), r.seq) != seqs.end();
+  };
+}
+
+std::vector<std::string> names(const std::vector<Request>& requests) {
+  std::vector<std::string> out;
+  for (const auto& r : requests) out.push_back(r.handler->name());
+  return out;
+}
+
+std::vector<std::string> drained_names(PendingQueue& q) {
+  return names(q.drain());
+}
+
+using Names = std::vector<std::string>;
+
+TEST(PendingQueueTake, FifoDisciplinesTakeInQueueOrderAndKeepTheRest) {
+  for (const auto discipline : {model::QueueDiscipline::kStrictFifo,
+                                model::QueueDiscipline::kFifoFirstFit}) {
+    HandlerPool pool;
+    auto q = PendingQueue::make(discipline, tu(4));
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      q->push(req(pool.make("r" + std::to_string(i), tu(1)), i));
+    }
+    std::vector<Request> taken;
+    // The predicate lists seqs out of order; take still yields queue order.
+    const auto pick = seq_in({4, 1, 2});
+    q->take(pick, &taken);
+    EXPECT_EQ(names(taken), (Names{"r1", "r2", "r4"}));
+    EXPECT_EQ(q->size(), 3u);
+    EXPECT_EQ(drained_names(*q), (Names{"r0", "r3", "r5"}));
+  }
+}
+
+TEST(PendingQueueTake, TakingNothingLeavesTheQueueAlone) {
+  HandlerPool pool;
+  FifoFirstFitQueue q;
+  q.push(req(pool.make("a", tu(1)), 0));
+  q.push(req(pool.make("b", tu(1)), 1));
+  std::vector<Request> taken;
+  q.take([](const Request&) { return false; }, &taken);
+  EXPECT_TRUE(taken.empty());
+  EXPECT_EQ(drained_names(q), (Names{"a", "b"}));
+}
+
+TEST(PendingQueueTake, ListOfListsBucketLoadsFallByWhatIsTaken) {
+  HandlerPool pool;
+  ListOfListsQueue q(tu(4));
+  q.push(req(pool.make("a", tu(3)), 0));  // bucket 0 (load 3)
+  q.push(req(pool.make("b", tu(2)), 1));  // bucket 1 (load 2)
+  q.push(req(pool.make("c", tu(2)), 2));  // bucket 1 (load 4: full)
+  EXPECT_EQ(q.placement_for(tu(2)).instance_offset, 2);
+
+  std::vector<Request> taken;
+  q.take(seq_in({2}), &taken);
+  EXPECT_EQ(names(taken), (Names{"c"}));
+  // Bucket 1 is down to load 2, so a cost-2 release fits behind b again.
+  const auto p = q.placement_for(tu(2));
+  EXPECT_EQ(p.instance_offset, 1);
+  EXPECT_EQ(p.cumulative_before, tu(2));
+  EXPECT_EQ(q.bucket_count(), 2u);
+}
+
+TEST(PendingQueueTake, ListOfListsDropsABucketTakeEmpties) {
+  HandlerPool pool;
+  ListOfListsQueue q(tu(4));
+  q.push(req(pool.make("a", tu(3)), 0));  // bucket 0
+  q.push(req(pool.make("b", tu(3)), 1));  // bucket 1
+  q.push(req(pool.make("c", tu(3)), 2));  // bucket 2
+  std::vector<Request> taken;
+  q.take(seq_in({1}), &taken);
+  EXPECT_EQ(names(taken), (Names{"b"}));
+  EXPECT_EQ(q.bucket_count(), 2u);
+  // The surviving instances keep their order: a, then c.
+  q.begin_instance();
+  EXPECT_EQ(q.pop_fitting(fits_under(tu(4)))->handler->name(), "a");
+  q.begin_instance();
+  EXPECT_EQ(q.pop_fitting(fits_under(tu(4)))->handler->name(), "c");
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(PendingQueueTake, ListOfListsReachesTheActiveListButNeverUnservable) {
+  HandlerPool pool;
+  ListOfListsQueue q(tu(4));
+  q.push(req(pool.make("active", tu(3)), 0));
+  q.push(req(pool.make("huge", tu(5)), 1));  // parked: above capacity
+  q.push(req(pool.make("future", tu(3)), 2));
+  q.begin_instance();  // "active" becomes the active list
+  std::vector<Request> taken;
+  q.take([](const Request&) { return true; }, &taken);
+  EXPECT_EQ(names(taken), (Names{"active", "future"}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(drained_names(q), (Names{"huge"}));
+}
+
+TEST(PendingQueueTake, DOverDemotesAPrivilegedEntryBeforeItLeaves) {
+  HandlerPool pool;
+  std::vector<Request> taken;
+  std::vector<std::pair<std::string, std::size_t>> demoted;  // (who, |taken|)
+  DOverQueue::Config config;
+  config.now = [] { return TimePoint::origin(); };
+  config.meta = [](const Request& r) {
+    DOverQueue::JobMeta meta;
+    meta.value = r.handler->cost().to_tu();
+    meta.relative_deadline = tu(10);
+    return meta;
+  };
+  config.on_admit = [](const Request&, bool) {};
+  config.on_demote = [&](const Request& r) {
+    demoted.emplace_back(r.handler->name(), taken.size());
+  };
+  config.on_shed = [](const Request&, const std::string&) {};
+  DOverQueue q(std::move(config));
+  q.push(req(pool.make("admitted", tu(2)), 0));
+  // 2 + 9 > 10: infeasible beside "admitted", yet far from its latest
+  // start time, so it waits unprivileged.
+  q.push(req(pool.make("waiting", tu(9)), 1));
+  ASSERT_EQ(q.privileged_count(), 1u);
+
+  q.take([](const Request&) { return true; }, &taken);
+  EXPECT_EQ(names(taken), (Names{"admitted", "waiting"}));
+  // Only the privileged entry is demoted, and before it joined `taken`.
+  ASSERT_EQ(demoted.size(), 1u);
+  EXPECT_EQ(demoted[0].first, "admitted");
+  EXPECT_EQ(demoted[0].second, 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(TaskServerTake, NeverTakesAReleaseAtTheCurrentInstant) {
+  rtsj::vm::VirtualMachine vm;
+  TaskServerParameters params("server", tu(4), tu(6), 30);
+  PollingTaskServer server(vm, params);
+  vm.run_until(TimePoint::origin() + tu(5));
+  HandlerPool pool;
+  auto* earlier = pool.make("earlier", tu(1));
+  auto* now = pool.make("now", tu(1));
+  earlier->set_server(&server);
+  now->set_server(&server);
+  server.servable_event_released(earlier, TimePoint::origin() + tu(4));
+  server.servable_event_released(now);  // at the VM clock: mid-bind
+
+  std::vector<Request> taken;
+  server.take_pending([](const Request&) { return true; }, &taken);
+  EXPECT_EQ(names(taken), (Names{"earlier"}));
+  EXPECT_EQ(server.pending_count(), 1u);
 }
 
 TEST(PendingQueueFactory, MakesEachDiscipline) {

@@ -9,11 +9,14 @@
 //   P4  pinned tasks land on their pinned core (or are rejected);
 //   P5  every aperiodic job is routed to exactly one core, and unpinned
 //       jobs only ever land on serving cores (when any exist);
-//   P6  the partition is a pure function of (spec, strategy).
+//   P6  the partition is a pure function of (spec, strategy);
+//   P7  pack_items places exactly as the reference loop below — a stable
+//       sort on decreasing utilization, then every item in turn.
 #include "mp/partition.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -189,6 +192,110 @@ TEST(PartitionerProperty, PartitionIsAPureFunctionOfSpecAndStrategy) {
       for (std::size_t r = 0; r < a.rejected.size(); ++r) {
         EXPECT_EQ(a.rejected[r].item.name, b.rejected[r].item.name);
       }
+    }
+  }
+}
+
+// P7's reference: the packing loop as first written — every item placed in
+// stable decreasing-utilization order, with no early stop.
+std::vector<int> reference_pack(PackingStrategy strategy,
+                                const std::vector<PartitionItem>& items,
+                                std::vector<double>& loads) {
+  const auto fits = [](double load, double u) { return load + u <= 1.0 + 1e-9; };
+  std::vector<std::size_t> order(items.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&items](std::size_t a, std::size_t b) {
+                     return items[a].utilization > items[b].utilization;
+                   });
+  const int cores = static_cast<int>(loads.size());
+  std::vector<int> placement(items.size(), -1);
+  for (const std::size_t i : order) {
+    const PartitionItem& item = items[i];
+    int chosen = -1;
+    if (item.affinity >= 0) {
+      if (item.affinity < cores &&
+          fits(loads[static_cast<std::size_t>(item.affinity)],
+               item.utilization)) {
+        chosen = item.affinity;
+      }
+    } else {
+      switch (strategy) {
+        case PackingStrategy::kFirstFitDecreasing:
+          for (int c = 0; c < cores; ++c) {
+            if (fits(loads[c], item.utilization)) {
+              chosen = c;
+              break;
+            }
+          }
+          break;
+        case PackingStrategy::kWorstFitDecreasing:
+          for (int c = 0; c < cores; ++c) {
+            if (!fits(loads[c], item.utilization)) continue;
+            if (chosen < 0 || loads[c] < loads[chosen]) chosen = c;
+          }
+          break;
+        case PackingStrategy::kBestFitDecreasing:
+          for (int c = 0; c < cores; ++c) {
+            if (!fits(loads[c], item.utilization)) continue;
+            if (chosen < 0 || loads[c] > loads[chosen]) chosen = c;
+          }
+          break;
+      }
+    }
+    if (chosen < 0) continue;
+    placement[i] = chosen;
+    loads[static_cast<std::size_t>(chosen)] += item.utilization;
+  }
+  return placement;
+}
+
+// Random item sets and bins for P7: utilizations drawn from a few values
+// (many exact ties) or continuously, zero-utilization items, pinned items
+// (some pinned beyond the last bin), and bins from empty through near full
+// to over full.
+void random_pack_case(common::Rng& rng, std::vector<PartitionItem>* items,
+                      std::vector<double>* loads) {
+  const int cores = static_cast<int>(rng.uniform_i64(0, 6));
+  loads->clear();
+  for (int c = 0; c < cores; ++c) {
+    const double roll = rng.next_double();
+    loads->push_back(roll < 0.2   ? 0.0
+                     : roll < 0.4 ? 1.0 - rng.uniform(0.0, 0.05)
+                     : roll < 0.5 ? 1.0
+                     : roll < 0.6 ? rng.uniform(1.0, 2.0)
+                                  : rng.uniform(0.0, 1.0));
+  }
+  const double tied[] = {0.0, 0.05, 0.1, 0.25, 1.0 / 3.0, 0.5};
+  const bool ties = rng.next_double() < 0.5;
+  items->assign(static_cast<std::size_t>(rng.uniform_i64(0, 40)), {});
+  for (auto& item : *items) {
+    const double roll = rng.next_double();
+    item.utilization = roll < 0.1 ? 0.0
+                       : ties     ? tied[rng.uniform_i64(0, 5)]
+                                  : rng.uniform(0.0, 0.7);
+    if (rng.next_double() < 0.2) {
+      item.affinity = static_cast<int>(rng.uniform_i64(0, cores + 1));
+    }
+  }
+}
+
+TEST(PartitionerProperty, PackItemsMatchesTheReferenceLoop) {
+  common::Rng rng(20240);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<PartitionItem> items;
+    std::vector<double> loads;
+    random_pack_case(rng, &items, &loads);
+    for (const auto strategy : {PackingStrategy::kFirstFitDecreasing,
+                                PackingStrategy::kWorstFitDecreasing,
+                                PackingStrategy::kBestFitDecreasing}) {
+      std::vector<double> got_loads = loads;
+      std::vector<double> want_loads = loads;
+      const auto got = Partitioner(strategy).pack_items(items, got_loads);
+      const auto want = reference_pack(strategy, items, want_loads);
+      ASSERT_EQ(got, want) << "round " << round << ", " << to_string(strategy);
+      ASSERT_EQ(got_loads, want_loads)
+          << "round " << round << ", " << to_string(strategy);
     }
   }
 }

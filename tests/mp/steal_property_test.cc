@@ -119,7 +119,7 @@ void check_invariants(const model::SystemSpec& spec, const MpRunResult& run,
       // S2 (first half): a steal happens strictly after the job's release.
       // Strictly: a release landing exactly on the steal boundary is still
       // mid-bind (the home server's wake-up for it is in flight) and must
-      // never be taken — see TaskServer::steal_pending_request.
+      // never be taken — see TaskServer::take_pending.
       EXPECT_LT(d.posted, d.delivered) << label << ": " << d.job;
       auto& last = last_steal[{d.job, d.posted}];
       last = common::max(last, d.delivered);
