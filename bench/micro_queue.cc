@@ -55,7 +55,7 @@ void fill(core::PendingQueue& q,
 void BM_PushPop_StrictFifo(benchmark::State& state) {
   auto handlers = make_handlers(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    core::StrictFifoQueue q;
+    core::FifoQueue q(/*first_fit=*/false);
     fill(q, handlers);
     const auto fits = [](Duration) { return true; };
     while (auto r = q.pop_fitting(fits)) benchmark::DoNotOptimize(r->seq);
@@ -86,7 +86,7 @@ void BM_FirstFitScan(benchmark::State& state) {
   for (auto& h : big) h->set_cost(tu(4));
   core::ServableAsyncEventHandler small("small", Duration::ticks(100),
                                         [](rtsj::Timed&) {});
-  core::FifoFirstFitQueue q;
+  core::FifoQueue q(/*first_fit=*/true);
   fill(q, big);
   core::Request r;
   r.handler = &small;
@@ -122,7 +122,7 @@ int run_json(const std::string& json_path) {
   auto handlers = make_handlers(kBacklog);
 
   const double fifo_ops = bench::items_per_sec(kBacklog, [&handlers] {
-    core::StrictFifoQueue q;
+    core::FifoQueue q(/*first_fit=*/false);
     fill(q, handlers);
     const auto fits = [](Duration) { return true; };
     while (auto r = q.pop_fitting(fits)) benchmark::DoNotOptimize(r->seq);

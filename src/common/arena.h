@@ -3,7 +3,7 @@
 //
 // The steady-state epoch loop must perform zero heap allocations (the
 // "millions of users" prerequisite named in ROADMAP.md): per-event heap
-// traffic — pending-queue deque chunks, mailbox nodes — is replaced by
+// traffic — pending-queue deque chunks above all — is replaced by
 // blocks carved out of chunked slabs and recycled through per-size-class
 // freelists, the mem_list pooling idiom. Fresh demand bumps a pointer into
 // the current slab (allocating a new slab only when the current one is

@@ -38,38 +38,19 @@ std::unique_ptr<PendingQueue> PendingQueue::make(
     common::Arena* arena) {
   switch (discipline) {
     case model::QueueDiscipline::kStrictFifo:
-      return std::make_unique<StrictFifoQueue>(arena);
+      return std::make_unique<FifoQueue>(/*first_fit=*/false, arena);
     case model::QueueDiscipline::kFifoFirstFit:
-      return std::make_unique<FifoFirstFitQueue>(arena);
+      return std::make_unique<FifoQueue>(/*first_fit=*/true, arena);
     case model::QueueDiscipline::kListOfLists:
       return std::make_unique<ListOfListsQueue>(capacity, arena);
   }
   TSF_PANIC("unknown queue discipline");
 }
 
-std::optional<Request> StrictFifoQueue::pop_fitting(const FitsFn& fits) {
-  if (q_.empty() || !fits(declared(q_.front()))) return std::nullopt;
-  Request r = std::move(q_.front());
-  q_.pop_front();
-  return r;
-}
-
-std::vector<Request> StrictFifoQueue::drain() {
-  std::vector<Request> out(q_.begin(), q_.end());
-  q_.clear();
-  return out;
-}
-
-void StrictFifoQueue::take(const TakeFn& pred, std::vector<Request>* out) {
-  take_from(q_, pred, out);
-}
-
-void StrictFifoQueue::visit(const VisitFn& fn) const {
-  for (const auto& r : q_) fn(r);
-}
-
-std::optional<Request> FifoFirstFitQueue::pop_fitting(const FitsFn& fits) {
-  for (auto it = q_.begin(); it != q_.end(); ++it) {
+std::optional<Request> FifoQueue::pop_fitting(const FitsFn& fits) {
+  // Strict FIFO only ever looks at the head.
+  const auto last = first_fit_ || q_.empty() ? q_.end() : q_.begin() + 1;
+  for (auto it = q_.begin(); it != last; ++it) {
     if (fits(declared(*it))) {
       Request r = std::move(*it);
       q_.erase(it);
@@ -79,17 +60,17 @@ std::optional<Request> FifoFirstFitQueue::pop_fitting(const FitsFn& fits) {
   return std::nullopt;
 }
 
-std::vector<Request> FifoFirstFitQueue::drain() {
+std::vector<Request> FifoQueue::drain() {
   std::vector<Request> out(q_.begin(), q_.end());
   q_.clear();
   return out;
 }
 
-void FifoFirstFitQueue::take(const TakeFn& pred, std::vector<Request>* out) {
+void FifoQueue::take(const TakeFn& pred, std::vector<Request>* out) {
   take_from(q_, pred, out);
 }
 
-void FifoFirstFitQueue::visit(const VisitFn& fn) const {
+void FifoQueue::visit(const VisitFn& fn) const {
   for (const auto& r : q_) fn(r);
 }
 

@@ -103,11 +103,14 @@ class PendingQueue {
                                             common::Arena* arena = nullptr);
 };
 
-// Serve strictly in release order; an oversized head blocks everything.
-class StrictFifoQueue : public PendingQueue {
+// Release order, in one of two flavours that differ only in pop_fitting:
+// strict FIFO serves the head or nothing (an oversized head blocks
+// everything); first-fit is the paper's chooseNextEvent(), the first
+// request in release order that fits.
+class FifoQueue : public PendingQueue {
  public:
-  explicit StrictFifoQueue(common::Arena* arena = nullptr)
-      : q_(common::ArenaAllocator<Request>(arena)) {}
+  explicit FifoQueue(bool first_fit, common::Arena* arena = nullptr)
+      : q_(common::ArenaAllocator<Request>(arena)), first_fit_(first_fit) {}
   TSF_REALTIME
   void push(Request r) override { q_.push_back(std::move(r)); }
   TSF_REALTIME
@@ -124,29 +127,7 @@ class StrictFifoQueue : public PendingQueue {
 
  private:
   RequestDeque q_;
-};
-
-// The paper's chooseNextEvent(): first request (in release order) that fits.
-class FifoFirstFitQueue : public PendingQueue {
- public:
-  explicit FifoFirstFitQueue(common::Arena* arena = nullptr)
-      : q_(common::ArenaAllocator<Request>(arena)) {}
-  TSF_REALTIME
-  void push(Request r) override { q_.push_back(std::move(r)); }
-  TSF_REALTIME
-  void requeue(Request r) override { q_.push_front(std::move(r)); }
-  TSF_REALTIME
-  std::optional<Request> pop_fitting(const FitsFn& fits) override;
-  bool empty() const override { return q_.empty(); }
-  std::size_t size() const override { return q_.size(); }
-  TSF_BARRIER_ONLY
-  std::vector<Request> drain() override;
-  TSF_BARRIER_ONLY
-  void take(const TakeFn& pred, std::vector<Request>* out) override;
-  void visit(const VisitFn& fn) const override;
-
- private:
-  RequestDeque q_;
+  bool first_fit_;
 };
 
 // §7: a list of lists of handlers, each inner list holding at most one

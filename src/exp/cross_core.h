@@ -3,8 +3,8 @@
 // The partitioned runtime (tsf::mp) advances one VirtualMachine per core to
 // shared, deterministic epoch boundaries; cross-core traffic rides those
 // boundaries. This header holds the vocabulary shared by both sides of that
-// boundary: the per-core *port* a handler posts into (implemented by
-// mp::MultiVm, which stages each fire for its boundary step), and the
+// boundary: the StagedFire a handler appends to its core's outbox (owned by
+// mp::MultiVm, which posts every outbox at its boundary step), and the
 // per-core *endpoint* the fabric delivers into (implemented by
 // exp::ExecSystem). Keeping the interfaces here — below the mp layer — lets
 // the exec runner stay ignorant of mailboxes, epochs and routing while the
@@ -102,15 +102,14 @@ inline std::size_t first_scheduled(std::span<const PendingView> views) {
   return best;
 }
 
-// One core's outbound side of the channel fabric. A handler that completes a
-// job with a `fires` target posts here, mid-epoch; delivery happens at a
-// later epoch boundary, never synchronously.
-class CrossCorePort {
- public:
-  virtual ~CrossCorePort() = default;
-  // Posts a fire of `job`'s event (resolved to its core by the fabric's
-  // routing table) at virtual instant `now`.
-  virtual void fire_remote(const std::string& job, common::TimePoint now) = 0;
+// One entry of a core's outbox, the outbound side of the channel fabric: a
+// handler that completes a job with a `fires` target appends the fire of
+// `job`'s event (resolved to its core by the fabric's routing table) at
+// virtual instant `posted`, mid-epoch; delivery happens at a later epoch
+// boundary, never synchronously.
+struct StagedFire {
+  std::string job;
+  common::TimePoint posted = common::TimePoint::never();
 };
 
 // One core's inbound side: the fabric calls these while every VM is paused

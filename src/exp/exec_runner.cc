@@ -94,8 +94,9 @@ class ExecSystem::JobHandler final : public core::ServableAsyncEventHandler {
 
 ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
                        const model::SystemSpec& spec,
-                       const ExecOptions& options, CrossCorePort* port)
-    : vm_(vm), spec_(spec), port_(port) {
+                       const ExecOptions& options,
+                       std::vector<StagedFire>* outbox)
+    : vm_(vm), spec_(spec), outbox_(outbox) {
   TSF_ASSERT(!spec_.horizon.is_never(), "exec needs a finite horizon");
 
   server_ = make_server(vm_, spec_.server, options);
@@ -218,8 +219,8 @@ void ExecSystem::build_job(const std::string& name, common::Duration declared,
 }
 
 void ExecSystem::fire_target(const std::string& job) {
-  if (port_ != nullptr) {
-    port_->fire_remote(job, vm_.now());
+  if (outbox_ != nullptr) {
+    outbox_->push_back(StagedFire{job, vm_.now()});
     return;
   }
   // No fabric: resolve locally; a target living outside this world (a solo

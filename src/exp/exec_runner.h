@@ -94,22 +94,23 @@ model::RunResult run_exec(const model::SystemSpec& spec,
 // The ExecSystem must be destroyed before its VM.
 //
 // As a CoreEndpoint it is also one core's terminus of the cross-core
-// channel fabric (multi-core runs): `port` is where handlers whose job has a
-// `fires` target post their outbound fires, and deliver_fire /
+// channel fabric (multi-core runs): `outbox` is where handlers whose job has
+// a `fires` target append their outbound fires, and deliver_fire /
 // deliver_migrated are invoked by the fabric at epoch boundaries. With a
-// null port (uniprocessor run_exec), `fires` resolves locally and fires
+// null outbox (uniprocessor run_exec), `fires` resolves locally and fires
 // synchronously at handler completion.
 //
-// Threading contract (backend = threads): completion posting through `port`
-// happens mid-epoch, concurrently with other cores' worlds — the port
-// implementation must be thread-safe (mp::MultiVm hands each core a port
-// staging into a lock-free MPSC mailbox). Every CoreEndpoint method, by
-// contrast, is only ever invoked at an epoch boundary while every core is
-// paused there, so the endpoint itself needs no locks.
+// Threading contract (backend = threads): appends to `outbox` happen
+// mid-epoch on the thread stepping this core, and only this system appends
+// to it; mp::MultiVm reads and clears every outbox at the epoch boundary,
+// after the barrier. Every CoreEndpoint method, likewise, is only ever
+// invoked at an epoch boundary while every core is paused there, so neither
+// side needs locks.
 class ExecSystem : public CoreEndpoint {
  public:
   ExecSystem(rtsj::vm::VirtualMachine& vm, const model::SystemSpec& spec,
-             const ExecOptions& options, CrossCorePort* port = nullptr);
+             const ExecOptions& options,
+             std::vector<StagedFire>* outbox = nullptr);
   ~ExecSystem() override;
   ExecSystem(const ExecSystem&) = delete;
   ExecSystem& operator=(const ExecSystem&) = delete;
@@ -175,14 +176,15 @@ class ExecSystem : public CoreEndpoint {
                  bool with_timer, common::TimePoint release,
                  double value = 0.0, bool stealable = false,
                  common::Duration relative_deadline = common::Duration::zero());
-  // Routes a completed handler's `fires` target: through the port when the
+  // Routes a completed handler's `fires` target: into the outbox when the
   // fabric is attached, synchronously otherwise.
+  TSF_WORKER_PHASE
   void fire_target(const std::string& job);
 
   rtsj::vm::VirtualMachine& vm_;
   model::SystemSpec spec_;
   model::RunResult result_;
-  CrossCorePort* port_ = nullptr;
+  std::vector<StagedFire>* outbox_ = nullptr;
   std::unique_ptr<core::TaskServer> server_;
   std::vector<std::unique_ptr<rtsj::RealtimeThread>> threads_;
   std::vector<std::unique_ptr<JobHandler>> handlers_;

@@ -8,23 +8,22 @@ namespace tsf::mp {
 
 using common::TimePoint;
 
-std::vector<Mailbox::Message> Mailbox::take_due(TimePoint boundary) {
+void Mailbox::take_due(TimePoint boundary, std::vector<Message>* out) {
   // Scan the whole queue, not just a due prefix: post order is core order
   // within an epoch, so with a non-zero channel latency a message posted
   // later in host order can fall due *earlier* in virtual time (core 1
   // fires at vt 5.2 after core 0 fired at vt 5.7). Every due message must
   // leave at this boundary regardless of its queue position.
-  std::vector<Message> due;
-  std::deque<Message> keep;
-  for (auto& m : in_flight_) {
-    if (m.due <= boundary) {
-      due.push_back(std::move(m));
+  auto kept = in_flight_.begin();
+  for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
+    if (it->due <= boundary) {
+      out->push_back(std::move(*it));
     } else {
-      keep.push_back(std::move(m));
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
   }
-  in_flight_ = std::move(keep);
-  return due;
+  in_flight_.erase(kept, in_flight_.end());
 }
 
 ChannelFabric::ChannelFabric(std::size_t cores, ChannelConfig config)
@@ -92,7 +91,6 @@ void ChannelFabric::post_fire(std::size_t from_core, const std::string& job,
   m.from_core = from_core;
   m.posted = posted;
   m.due = due_after(posted);
-  m.seq = next_seq_++;
   if (route == routes_.end()) {
     // Expected but not yet bound (a pool job before its dispatch, a
     // migratable before its delivery): parked until bind() flushes it.
@@ -107,7 +105,9 @@ std::size_t ChannelFabric::drain(TimePoint boundary) {
 
   // Remote fires: per-core mailboxes in core order, post order within one.
   for (std::size_t core = 0; core < mailboxes_.size(); ++core) {
-    for (auto& m : mailboxes_[core].take_due(boundary)) {
+    due_.clear();
+    mailboxes_[core].take_due(boundary, &due_);
+    for (auto& m : due_) {
       exp::ChannelDelivery d;
       d.kind = exp::ChannelDelivery::Kind::kFire;
       d.job = std::move(m.job);

@@ -2,13 +2,13 @@
 //
 // Partitioned cores are deterministic silos; the only instants at which all
 // of them agree on "now" are the epoch boundaries MultiVm drives them to.
-// The ChannelFabric exploits exactly those instants: a fire staged by a
-// handler on core A while its VM runs is posted into the target core's
-// mailbox by MultiVm's boundary step, and the fabric drains every mailbox
-// while all VMs are paused there. Because the boundary posts in (core,
-// per-core post) order on either stepper and deliveries happen in
-// (due-time, post-sequence) order, multi-core runs with cross-core traffic
-// stay bit-reproducible.
+// The ChannelFabric exploits exactly those instants: a handler on core A
+// appends its fire to core A's outbox while the VM runs, MultiVm's
+// boundary step posts it into the target core's mailbox, and the fabric
+// drains every mailbox while all VMs are paused there. Because the boundary
+// posts in (core, per-core post) order on either stepper and each mailbox
+// delivers its due messages in post order, multi-core runs with cross-core
+// traffic stay bit-reproducible.
 //
 // Two channel types:
 //  * remote fire — `fires = <job>` in the spec: at handler completion the
@@ -27,8 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -55,22 +53,22 @@ class Mailbox {
     std::size_t from_core = exp::ChannelDelivery::kNoCore;
     common::TimePoint posted = common::TimePoint::never();
     common::TimePoint due = common::TimePoint::never();
-    std::uint64_t seq = 0;
   };
 
   TSF_BARRIER_ONLY
   void push(Message m) { in_flight_.push_back(std::move(m)); }
   std::size_t size() const { return in_flight_.size(); }
 
-  // Removes and returns every message with due <= boundary, preserving post
-  // (seq) order among the taken. The whole queue is scanned: post order is
-  // host core order, not virtual-time order, so due times are not monotone
-  // along the deque and a due message may sit behind a not-yet-due one.
+  // Moves every message with due <= boundary to `out`, in post order, and
+  // closes the gaps in place — the storage is reused, so a boundary with
+  // nothing due allocates nothing. The whole queue is scanned: post order
+  // is host core order, not virtual-time order, so due times are not
+  // monotone along it and a due message may sit behind a not-yet-due one.
   TSF_BARRIER_ONLY
-  std::vector<Message> take_due(common::TimePoint boundary);
+  void take_due(common::TimePoint boundary, std::vector<Message>* out);
 
  private:
-  std::deque<Message> in_flight_;
+  std::vector<Message> in_flight_;
 };
 
 class ChannelFabric {
@@ -106,8 +104,8 @@ class ChannelFabric {
   // Posts a remote fire. The target core comes from the routing table; an
   // unbound name is recorded as a failed delivery immediately. Barrier-only:
   // the fabric's containers are plain, so on both steppers a handler's fire
-  // is staged mid-epoch and replayed here by MultiVm's boundary step
-  // (mp/mailbox.h), never posted directly from a running core.
+  // waits in its core's outbox and is posted here by MultiVm's boundary
+  // step, never directly from a running core.
   TSF_BARRIER_ONLY
   void post_fire(std::size_t from_core, const std::string& job,
                  common::TimePoint posted);
@@ -160,7 +158,7 @@ class ChannelFabric {
   std::map<std::string, std::vector<Mailbox::Message>> deferred_;
   std::vector<PendingMigration> migrations_;
   std::vector<exp::ChannelDelivery> deliveries_;
-  std::uint64_t next_seq_ = 0;
+  std::vector<Mailbox::Message> due_;  // drain's scratch, reused per core
 };
 
 }  // namespace tsf::mp

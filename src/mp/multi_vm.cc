@@ -4,7 +4,6 @@
 #include <barrier>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -60,27 +59,10 @@ static bool pin_current_thread(std::size_t core) {
 #endif
 }
 
-// Core `core`'s completion port: a handler finishing on that core (in one
-// of its VM's fibers, on the thread stepping that core) stages the fire
-// into the shared MPSC queue instead of touching the fabric. `next_seq` is
-// plain — only this core's world posts through this port, and one thread
-// steps it.
-struct MultiVm::StagedPort : exp::CrossCorePort {
-  StagedPort(MultiVm* machine, std::size_t core)
-      : machine(machine), core(core) {}
-  TSF_WORKER_PHASE
-  void fire_remote(const std::string& job, TimePoint now) override {
-    machine->staged_.push(StagedFire{job, core, now, next_seq++});
-  }
-  MultiVm* machine;
-  std::size_t core;
-  std::uint64_t next_seq = 0;
-};
-
 MultiVm::MultiVm(std::vector<model::SystemSpec> per_core_specs,
                  const exp::ExecOptions& options, ChannelFabric& fabric,
                  BoundaryStages stages)
-    : fabric_(fabric), stages_(stages) {
+    : outboxes_(per_core_specs.size()), fabric_(fabric), stages_(stages) {
   TSF_ASSERT(!per_core_specs.empty(), "MultiVm needs at least one core");
   TSF_ASSERT(fabric_.cores() == per_core_specs.size(),
              "channel fabric sized for " << fabric_.cores()
@@ -91,14 +73,12 @@ MultiVm::MultiVm(std::vector<model::SystemSpec> per_core_specs,
              "the rebalancer and the overload governor read the load meter");
   vms_.reserve(per_core_specs.size());
   systems_.reserve(per_core_specs.size());
-  ports_.reserve(per_core_specs.size());
   for (std::size_t c = 0; c < per_core_specs.size(); ++c) {
     const auto& spec = per_core_specs[c];
     vms_.push_back(
         std::make_unique<rtsj::vm::VirtualMachine>(options.kernel));
-    ports_.push_back(std::make_unique<StagedPort>(this, c));
     systems_.push_back(std::make_unique<exp::ExecSystem>(
-        *vms_.back(), spec, options, ports_.back().get()));
+        *vms_.back(), spec, options, &outboxes_[c]));
     fabric_.connect(c, systems_.back().get());
     for (const auto& job : spec.aperiodic_jobs) fabric_.bind(c, job.name);
   }
@@ -127,16 +107,15 @@ void MultiVm::on_boundary() noexcept {
   }
 
   // Every core is paused at now_, the instant cross-core messages become
-  // visible. Replay the epoch's staged fires in the lock-step post order;
-  // every push happens-before this step, so the drain sees the whole batch.
-  replay_.clear();
-  StagedFire fire;
-  while (staged_.pop(&fire)) replay_.push_back(std::move(fire));
-  // Producers are still paused, so this is the one safe point to publish
-  // the drained nodes back onto the queue's free stack (see mailbox.h).
-  staged_.recycle();
-  sort_replay_order(&replay_);
-  for (auto& f : replay_) fabric_.post_fire(f.from_core, f.job, f.posted);
+  // visible. Post the epoch's fires core by core, each outbox in its post
+  // order: the lock-step order, on either stepper. Every append
+  // happens-before this step (the lock-step loop, or the barrier).
+  for (std::size_t core = 0; core < outboxes_.size(); ++core) {
+    for (const auto& fire : outboxes_[core]) {
+      fabric_.post_fire(core, fire.job, fire.posted);
+    }
+    outboxes_[core].clear();
+  }
 
   // Effects (event fires, releases, server wake-ups) are enqueued now and
   // processed when the VMs resume into the next epoch. Each stage sees the

@@ -5,9 +5,12 @@
 // core, each hosting one exp::ExecSystem (the same lowering run_exec uses).
 // MultiVm drives every core to the same epoch boundaries (multiples of
 // `quantum`) and runs one boundary step there — the only instant at which
-// cross-core effects enter a core. A handler's cross-core fire is staged
-// mid-epoch (mp/mailbox.h) and replayed into the ChannelFabric by that step
-// in (from_core, per-core seq) order.
+// cross-core effects enter a core. A handler's cross-core fire is appended
+// mid-epoch to its core's outbox, a plain vector only that core's world
+// writes; the boundary step posts every outbox into the ChannelFabric in
+// core order and clears it. Each outbox is in post order, so the fabric
+// sees the lock-step order on either stepper, and the boundary itself (the
+// threads stepper's barrier) is the only synchronization the outboxes need.
 //
 // Within an epoch each core is a closed deterministic world, so both
 // steppers (ExecBackend) produce bit-identical traces, outcomes and channel
@@ -30,7 +33,6 @@
 #include "exp/exec_runner.h"
 #include "model/run_result.h"
 #include "model/spec.h"
-#include "mp/mailbox.h"
 #include "rtsj/vm/vm.h"
 
 namespace tsf::mp {
@@ -107,30 +109,27 @@ class MultiVm {
   std::vector<model::RunResult> collect();
 
  private:
-  struct StagedPort;
-
   void step_lockstep();
   // Returns how many workers the platform pinned (none on hosts without
   // pthread_setaffinity_np).
   std::size_t step_threads();
   // The boundary step of both steppers, run while every VM is paused:
-  // staged-fire replay, fabric drain, the BoundaryStages, epoch metrics.
+  // outbox posting, fabric drain, the BoundaryStages, epoch metrics.
   TSF_BARRIER_ONLY
   void on_boundary() noexcept;
 
+  // Core k's world appends to outboxes_[k] mid-epoch; only the boundary
+  // step reads and clears them. Sized once, before the worlds take their
+  // pointers, and declared first so it outlives them.
+  std::vector<std::vector<exp::StagedFire>> outboxes_;
   // Destruction order matters: systems_ (fibers, timers) must go before the
   // VMs they run on, so vms_ is declared first.
   std::vector<std::unique_ptr<rtsj::vm::VirtualMachine>> vms_;
   std::vector<std::unique_ptr<exp::ExecSystem>> systems_;
-  std::vector<std::unique_ptr<StagedPort>> ports_;
   ChannelFabric& fabric_;
   BoundaryStages stages_;
   common::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<common::TeeSink>> tees_;
-
-  // Every core's port pushes here; only the boundary step drains it.
-  MpscQueue<StagedFire> staged_;
-  std::vector<StagedFire> replay_;  // reused per-boundary batch buffer
 
   // Epoch cursor of the boundary step; threads-stepper workers track the
   // identical sequence locally (same arithmetic, same inputs).

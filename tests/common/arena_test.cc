@@ -1,7 +1,7 @@
 // The allocation substrate of the exec hot path: size-class freelist
 // recycling, epoch reset, over-aligned blocks, and a 200-seed property fuzz
-// (mirroring the mailbox fuzz style) checking that every outstanding block
-// stays writable and disjoint under randomized allocate/release churn.
+// checking that every outstanding block stays writable and disjoint under
+// randomized allocate/release churn.
 #include "common/arena.h"
 
 #include <gtest/gtest.h>
@@ -143,7 +143,7 @@ TEST(ArenaAllocator, EqualityFollowsTheArena) {
   EXPECT_EQ(rebound.arena(), &a);
 }
 
-// 200-seed property fuzz (mailbox-fuzz style): random allocate/release
+// 200-seed property fuzz: random allocate/release
 // churn over mixed size classes. Every live block carries a seed-derived
 // fill pattern; corruption of any byte means two blocks overlapped or a
 // freelist handed out a live block.

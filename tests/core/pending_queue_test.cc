@@ -49,7 +49,7 @@ auto fits_under(Duration budget) {
 
 TEST(StrictFifoQueue, HeadBlocksWhenTooExpensive) {
   HandlerPool pool;
-  StrictFifoQueue q;
+  FifoQueue q(/*first_fit=*/false);
   q.push(req(pool.make("big", tu(3)), 0));
   q.push(req(pool.make("small", tu(1)), 1));
   // Head does not fit: nothing is served, even though "small" would fit.
@@ -61,7 +61,7 @@ TEST(StrictFifoQueue, HeadBlocksWhenTooExpensive) {
 
 TEST(StrictFifoQueue, FifoOrder) {
   HandlerPool pool;
-  StrictFifoQueue q;
+  FifoQueue q(/*first_fit=*/false);
   q.push(req(pool.make("a", tu(1)), 0));
   q.push(req(pool.make("b", tu(1)), 1));
   EXPECT_EQ(q.pop_fitting(fits_under(tu(4)))->handler->name(), "a");
@@ -75,7 +75,7 @@ TEST(FifoFirstFitQueue, SkipsOversizedHead) {
   // is 2, then tau2 can be executed instantaneously, even if it has been
   // released after tau1."
   HandlerPool pool;
-  FifoFirstFitQueue q;
+  FifoQueue q(/*first_fit=*/true);
   q.push(req(pool.make("tau1", tu(3)), 0));
   q.push(req(pool.make("tau2", tu(1)), 1));
   auto r = q.pop_fitting(fits_under(tu(2)));
@@ -88,7 +88,7 @@ TEST(FifoFirstFitQueue, SkipsOversizedHead) {
 
 TEST(FifoFirstFitQueue, PrefersFifoAmongFitting) {
   HandlerPool pool;
-  FifoFirstFitQueue q;
+  FifoQueue q(/*first_fit=*/true);
   q.push(req(pool.make("a", tu(2)), 0));
   q.push(req(pool.make("b", tu(1)), 1));
   EXPECT_EQ(q.pop_fitting(fits_under(tu(2)))->handler->name(), "a");
@@ -96,7 +96,7 @@ TEST(FifoFirstFitQueue, PrefersFifoAmongFitting) {
 
 TEST(FifoFirstFitQueue, DrainReturnsEverythingInOrder) {
   HandlerPool pool;
-  FifoFirstFitQueue q;
+  FifoQueue q(/*first_fit=*/true);
   q.push(req(pool.make("a", tu(9)), 0));
   q.push(req(pool.make("b", tu(9)), 1));
   const auto rest = q.drain();
@@ -232,7 +232,7 @@ TEST(PendingQueueTake, FifoDisciplinesTakeInQueueOrderAndKeepTheRest) {
 
 TEST(PendingQueueTake, TakingNothingLeavesTheQueueAlone) {
   HandlerPool pool;
-  FifoFirstFitQueue q;
+  FifoQueue q(/*first_fit=*/true);
   q.push(req(pool.make("a", tu(1)), 0));
   q.push(req(pool.make("b", tu(1)), 1));
   std::vector<Request> taken;

@@ -1,7 +1,8 @@
 // Legal twin of bad_phase_order.cc: the worker-phase port stages the fire
-// into an MPSC queue (itself worker-phase on the push side); only the
+// into a queue (itself worker-phase on the push side); only the
 // barrier-only boundary hook pops the stage and posts into the fabric —
-// exactly the StagedPort discipline of mp/multi_vm.cc.
+// the discipline of mp/multi_vm.cc, where a handler's fire waits in its
+// core's outbox until the boundary step posts it.
 // Expected findings: none.
 #include <cstddef>
 #include <string>

@@ -1,7 +1,7 @@
 // Legal twin of bad_suppression.cc: a well-formed, justified suppression of
-// the pool-growth pattern (the same shape src/common/event_queue.cc and
-// src/mp/mailbox.h carry). Expected findings: none; the report records the
-// suppression with used = true.
+// the pool-growth pattern (the same shape src/common/event_queue.cc
+// carries). Expected findings: none; the report records the suppression
+// with used = true.
 #include "common/annotations.h"
 
 namespace fixture {

@@ -153,7 +153,7 @@ TEST(LintMutation, PhaseOrderConvictsSeededEdgeThroughMemberChain) {
 }
 
 TEST(LintMutation, PhaseOrderStagedTwinIsClean) {
-  // The StagedPort discipline: worker-phase push, barrier-only pop + post.
+  // The outbox discipline: worker-phase push, barrier-only pop + post.
   const LintRun run = run_lint({"good_phase_order.cc"});
   EXPECT_EQ(run.exit_code, 0) << "staged twin must lint clean";
   EXPECT_EQ(finding_count(run), 0u);

@@ -5,9 +5,9 @@
 // is repeated 3x to shake out host-scheduling ordering sensitivity.
 //
 // The declared contract is set equality + sketch-quantile tolerance; the
-// suite additionally asserts trace-fingerprint equality, which the staged
-// replay design makes achievable (the threads backend reconstructs the
-// oracle's boundary order exactly) and which turns any future ordering
+// suite additionally asserts trace-fingerprint equality, which the
+// per-core outboxes make achievable (the boundary posts them in core order,
+// the oracle's order exactly) and which turns any future ordering
 // regression into a hard failure instead of a tolerance-shaped soft one.
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ using common::TimePoint;
 // Declared cross-validation tolerance on response-time quantiles, in time
 // units. With equal served sets the distributions are identical and the
 // observed difference is 0; the tolerance bounds how far a future
-// relaxation of the replay ordering would be allowed to drift.
+// relaxation of the boundary's post ordering would be allowed to drift.
 constexpr double kQuantileToleranceTu = 0.25;
 
 Duration tu(std::int64_t n) { return Duration::time_units(n); }
@@ -128,8 +128,8 @@ void expect_equivalent(const model::SystemSpec& spec,
                   oracle.responses.quantile(q), kQuantileToleranceTu)
           << "quantile " << q;
     }
-    // Stronger than the contract: the staged replay reconstructs the
-    // oracle's boundary order, so the traces are bit-identical.
+    // Stronger than the contract: the boundary posts the outboxes in the
+    // oracle's order, so the traces are bit-identical.
     EXPECT_EQ(threads.fingerprint, oracle.fingerprint);
   }
 }
@@ -159,8 +159,8 @@ TEST(BackendEquivalence, DriftRebalance) {
 }
 
 TEST(BackendEquivalence, SubQuantumEpochAndJitter) {
-  // Fractional quantum plus execution-time jitter: the staged replay must
-  // keep oracle order when posts land mid-epoch at non-integral instants.
+  // Fractional quantum plus execution-time jitter: the outboxes must keep
+  // oracle order when posts land mid-epoch at non-integral instants.
   MpRunOptions options;
   options.policy = SchedPolicy::kSemiPartitioned;
   options.quantum = common::Duration::from_tu(0.5);

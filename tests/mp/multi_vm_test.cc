@@ -334,6 +334,59 @@ TEST(MultiVmDeterminism, EveryQuantumIsSelfReproducible) {
   }
 }
 
+// Within one epoch the boundary posts every cross-core fire core by core,
+// each core's in its post order — the lock-step stepper's order — however
+// the threads stepper's workers interleaved, and whatever the fires'
+// virtual instants: core 1 fires earlier here, yet core 0's fires go first.
+TEST(MultiVmDeterminism, CrossCoreFiresPostInCoreThenPostOrder) {
+  model::SystemSpec spec;
+  spec.name = "order";
+  spec.cores = 3;
+  spec.server.policy = model::ServerPolicy::kDeferrable;
+  spec.server.capacity = tu(2);
+  spec.server.period = tu(4);
+  spec.server.priority = 30;
+  auto job = [&](const std::string& name, std::int64_t release, int core,
+                 const std::string& fires, bool triggered) {
+    model::AperiodicJobSpec j;
+    j.name = name;
+    j.release = at_tu(release);
+    j.cost = tu(1);
+    j.affinity = core;
+    j.fires = fires;
+    j.triggered = triggered;
+    spec.aperiodic_jobs.push_back(j);
+  };
+  job("a0", 5, 0, "t", false);
+  job("a1", 6, 0, "t", false);
+  job("b0", 1, 1, "t", false);
+  job("b1", 2, 1, "t", false);
+  job("t", 0, 2, "", true);
+  spec.horizon = at_tu(30);
+
+  std::vector<std::uint64_t> fingerprints;
+  for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
+    MpRunOptions options;
+    options.quantum = tu(10);
+    options.backend = backend;
+    const auto run = mp::run(spec, options);
+    const auto& d = run.channel_deliveries;
+    ASSERT_EQ(d.size(), 4u) << to_string(backend);
+    const std::size_t from[] = {0, 0, 1, 1};
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      EXPECT_EQ(d[i].from_core, from[i]) << to_string(backend) << " #" << i;
+      EXPECT_EQ(d[i].to_core, 2u);
+      EXPECT_TRUE(d[i].ok);
+      EXPECT_EQ(d[i].delivered, at_tu(10));
+    }
+    EXPECT_LT(d[0].posted, d[1].posted) << to_string(backend);
+    EXPECT_LT(d[2].posted, d[3].posted) << to_string(backend);
+    EXPECT_LT(d[3].posted, d[0].posted) << "core 1 must fire first";
+    fingerprints.push_back(common::fingerprint(run.merged.timeline));
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
 // --- determinism regression suite: scheduling policies ---
 
 // cross_core_spec plus an imbalanced unpinned burst: under semi the idle

@@ -1,14 +1,15 @@
-// The memory-discipline contract of the batched-dispatch PR: once warmed
-// up, the steady-state epoch loop performs ZERO heap allocations. The two
-// pieces that compose into an epoch of either backend are asserted
-// separately with a global operator-new interposer:
+// The memory-discipline contract: once warmed up, the steady-state epoch
+// loop performs ZERO heap allocations. The two pieces that compose into an
+// epoch of either backend are asserted separately with a global
+// operator-new interposer:
 //
 //   1. The per-core world (rtsj VM + ExecSystem): timer fires, server
 //      dispatch (batched and unbatched), periodic re-releases, outcome
-//      recording. This is one core's share of a lock-step epoch and the
-//      worker-thread body of the threads stepper.
-//   2. Both steppers' staging substrate (MpscQueue<StagedFire>): after one
-//      warm epoch, push/drain/recycle cycles run entirely on pooled nodes.
+//      recording, and cross-core fires appended to the core's outbox. This
+//      is one core's share of a lock-step epoch and the worker-thread body
+//      of the threads stepper.
+//   2. The boundary's channel fabric: draining per-core mailboxes that
+//      hold nothing due compacts them in place.
 //
 // The interposer replaces global operator new, so this TU must be the only
 // one in the binary including alloc_interposer.h. Under ASan/TSan the
@@ -18,12 +19,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/time.h"
 #include "common/trace.h"
 #include "exp/exec_runner.h"
 #include "model/spec.h"
-#include "mp/mailbox.h"
+#include "mp/channel.h"
 #include "rtsj/vm/vm.h"
 
 namespace tsf {
@@ -48,10 +50,11 @@ class NullSink final : public common::TraceSink {
   }
 };
 
-// Steady periodic + aperiodic load with no fire chains, migration or
-// triggered jobs (those cross cores and are exercised by the equivalence
-// suites; the zero-alloc claim is about the per-core dispatch loop). Short
-// job names stay within the small-string optimization on purpose.
+// Steady periodic + aperiodic load; every aperiodic job fires `ack` on
+// completion, which a world with an outbox stages there instead of
+// resolving locally (no migration or triggered jobs: delivery is the
+// fabric's business, exercised by the equivalence suites). Short job names
+// stay within the small-string optimization on purpose.
 model::SystemSpec steady_spec() {
   model::SystemSpec spec;
   spec.name = "za";
@@ -70,11 +73,26 @@ model::SystemSpec steady_spec() {
     job.name = "a" + std::to_string(j);
     job.release = at_tu(1 + 4 * j);
     job.cost = tu(1);
+    job.fires = "ack";
     spec.aperiodic_jobs.push_back(job);
   }
   spec.horizon = at_tu(100);
   return spec;
 }
+
+// Counts what the fabric delivers; hosts every job.
+class CountingEndpoint final : public exp::CoreEndpoint {
+ public:
+  bool deliver_fire(const std::string&) override {
+    ++fires;
+    return true;
+  }
+  void deliver_migrated(const exp::MigratedJob&) override {}
+  bool serves_aperiodics() const override { return true; }
+  std::size_t queue_depth() const override { return 0; }
+
+  std::size_t fires = 0;
+};
 
 void expect_zero_alloc_world(int batch) {
   if (!testing::alloc_interposer_active()) {
@@ -89,27 +107,43 @@ void expect_zero_alloc_world(int batch) {
   rtsj::vm::VirtualMachine vm(options.kernel);
   NullSink null_sink;
   vm.set_trace_sink(&null_sink);
-  exp::ExecSystem system(vm, spec, options);
+  std::vector<exp::StagedFire> outbox;
+  exp::ExecSystem system(vm, spec, options, &outbox);
   system.start();
 
+  // One-tu epochs; between them the outbox is emptied the way MultiVm's
+  // boundary step does. Returns how many fires the slices staged.
+  std::int64_t epoch_end = 0;
+  auto run_epochs_until = [&](std::int64_t end) {
+    std::size_t staged = 0;
+    while (epoch_end < end) {
+      vm.run_until(at_tu(++epoch_end));
+      staged += outbox.size();
+      outbox.clear();
+    }
+    return staged;
+  };
+
   // Warm-up: first epochs size the event queue, the arena slabs, the
-  // freelists and the reserved outcome vectors.
-  vm.run_until(at_tu(40));
+  // freelists, the reserved outcome vectors and the outbox.
+  run_epochs_until(40);
 
   const std::uint64_t before = testing::alloc_count();
-  vm.run_until(at_tu(100));
+  const std::size_t staged = run_epochs_until(100);
   const std::uint64_t after = testing::alloc_count();
   EXPECT_EQ(after - before, 0u)
       << "batch=" << batch << ": steady-state epochs allocated "
       << (after - before) << " times";
 
-  // The window did real work: releases past t=40 were actually served.
+  // The window did real work: releases past t=40 were actually served, and
+  // each completion staged its fire.
   const model::RunResult result = system.collect();
-  int served_late = 0;
+  std::size_t served_late = 0;
   for (const auto& job : result.jobs) {
     if (job.served && job.release >= at_tu(40)) ++served_late;
   }
-  EXPECT_GT(served_late, 0);
+  EXPECT_GT(served_late, 0u);
+  EXPECT_GE(staged, served_late);
 }
 
 TEST(ZeroAllocSteadyState, PerCoreWorldPerEventDispatch) {
@@ -120,36 +154,38 @@ TEST(ZeroAllocSteadyState, PerCoreWorldBatchedDispatch) {
   expect_zero_alloc_world(8);
 }
 
-TEST(ZeroAllocSteadyState, StagedFireMailboxRecyclesNodes) {
+// A boundary with nothing due must not rebuild the mailboxes: messages
+// still in flight stay where they are, and the scan allocates nothing.
+TEST(ZeroAllocSteadyState, IdleFabricDrainAllocatesNothing) {
   if (!testing::alloc_interposer_active()) {
     GTEST_SKIP() << "sanitizer build: interposer compiled out";
   }
-  mp::MpscQueue<mp::StagedFire> queue;
-  auto epoch = [&queue](int posts) {
-    for (int i = 0; i < posts; ++i) {
-      mp::StagedFire fire;
-      fire.job = "j";  // SSO, like real short job names
-      fire.from_core = static_cast<std::size_t>(i % 4);
-      fire.seq = static_cast<std::uint64_t>(i);
-      queue.push(std::move(fire));
-    }
-    mp::StagedFire out;
-    int drained = 0;
-    while (queue.pop(&out)) ++drained;
-    queue.recycle();
-    return drained;
-  };
-
-  ASSERT_EQ(epoch(64), 64);  // warm-up populates the node pool
+  constexpr std::size_t kCores = 4;
+  mp::ChannelFabric fabric(kCores, mp::ChannelConfig{tu(1000)});
+  std::vector<CountingEndpoint> endpoints(kCores);
+  for (std::size_t c = 0; c < kCores; ++c) {
+    fabric.connect(c, &endpoints[c]);
+    fabric.bind(c, "j" + std::to_string(c));
+  }
+  // Warm-up: one message per core, in flight until t = 1000.
+  for (std::size_t c = 0; c < kCores; ++c) {
+    fabric.post_fire((c + 1) % kCores, "j" + std::to_string(c), at_tu(0));
+  }
+  ASSERT_EQ(fabric.drain(at_tu(1)), 0u);
 
   const std::uint64_t before = testing::alloc_count();
-  for (int e = 0; e < 100; ++e) {
-    ASSERT_EQ(epoch(64), 64);
+  for (std::int64_t t = 2; t < 102; ++t) {
+    ASSERT_EQ(fabric.drain(at_tu(t)), 0u);
   }
   const std::uint64_t after = testing::alloc_count();
   EXPECT_EQ(after - before, 0u)
-      << "pooled mailbox allocated " << (after - before)
-      << " times across 100 steady epochs";
+      << "100 idle drains over " << kCores << " cores allocated "
+      << (after - before) << " times";
+
+  // The kept messages are intact and leave once due.
+  EXPECT_EQ(fabric.in_flight(), kCores);
+  EXPECT_EQ(fabric.drain(at_tu(1000)), kCores);
+  for (const auto& e : endpoints) EXPECT_EQ(e.fires, 1u);
 }
 
 }  // namespace

@@ -522,7 +522,8 @@ std::vector<std::size_t> Analyzer::resolve(const Call& call,
     // Walk the receiver chain through the member-type map. A hop through a
     // name we have no type for (a local, a std:: container, an expression)
     // dead-ends the chain — unresolved beats a wrong simple-name guess,
-    // which would convict `heap_.pop()` of being `MpscQueue::pop`.
+    // which would convict a std:: container's `heap_.push(x)` of being
+    // `Mailbox::push`.
     std::string cls = caller_class;
     for (const std::string& recv : call.receiver_chain) {
       if (recv == "this") continue;

@@ -118,7 +118,7 @@ class Analyzer {
   // Per-file set of identifiers declared with an unordered container type.
   std::vector<std::vector<std::string>> unordered_names_;
   // class simple name -> member name -> member type's simple name, as
-  // declared in the class body ("staged_" -> "MpscQueue"). Pointer /
+  // declared in the class body ("server_" -> "TaskServer"). Pointer /
   // reference / template arguments are stripped; std:: types resolve to
   // names no in-tree class has, which correctly dead-ends the chain.
   std::map<std::string, std::map<std::string, std::string>> member_types_;
