@@ -1,6 +1,6 @@
 // Shared driver for the four table-reproduction benches: enumerates the six
 // paper sets under one (policy, mode) pair, runs them through the sharded
-// harness (`--jobs N` fans the cells out over worker processes) and prints
+// harness (`--jobs N` runs the cells on N threads) and prints
 // our table next to the paper's published values.
 #pragma once
 

@@ -13,6 +13,22 @@ namespace tsf::common {
 
 [[noreturn]] void panic(const char* file, int line, const std::string& message);
 
+// Names what the calling thread is busy with: while a PanicContext lives,
+// a panic on its thread ends with "[while <what>]", so a failure deep in a
+// worker still says which piece of work it belongs to. Contexts nest; each
+// restores the one it replaced.
+class PanicContext {
+ public:
+  explicit PanicContext(std::string what);
+  ~PanicContext();
+  PanicContext(const PanicContext&) = delete;
+  PanicContext& operator=(const PanicContext&) = delete;
+
+ private:
+  std::string what_;
+  const std::string* previous_;
+};
+
 }  // namespace tsf::common
 
 // Assert `cond`; on failure aborts with file:line and the streamed message.

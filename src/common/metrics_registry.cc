@@ -5,7 +5,7 @@
 namespace tsf::common {
 
 void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
-  const auto it = counter_index_.find(std::string(name));
+  const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) {
     counters_[it->second].value += delta;
     return;
@@ -15,7 +15,7 @@ void MetricsRegistry::add_counter(std::string_view name, std::uint64_t delta) {
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  const auto it = gauge_index_.find(std::string(name));
+  const auto it = gauge_index_.find(name);
   if (it != gauge_index_.end()) {
     gauges_[it->second].value = value;
     return;
@@ -25,7 +25,7 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
-  const auto it = histogram_index_.find(std::string(name));
+  const auto it = histogram_index_.find(name);
   if (it != histogram_index_.end()) {
     histograms_[it->second].sketch.add(value);
     histograms_[it->second].stats.add(value);
@@ -38,17 +38,17 @@ void MetricsRegistry::observe(std::string_view name, double value) {
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
-  const auto it = counter_index_.find(std::string(name));
+  const auto it = counter_index_.find(name);
   return it == counter_index_.end() ? 0 : counters_[it->second].value;
 }
 
 double MetricsRegistry::gauge(std::string_view name) const {
-  const auto it = gauge_index_.find(std::string(name));
+  const auto it = gauge_index_.find(name);
   return it == gauge_index_.end() ? 0.0 : gauges_[it->second].value;
 }
 
 const LogSketch* MetricsRegistry::histogram(std::string_view name) const {
-  const auto it = histogram_index_.find(std::string(name));
+  const auto it = histogram_index_.find(name);
   return it == histogram_index_.end() ? nullptr
                                       : &histograms_[it->second].sketch;
 }

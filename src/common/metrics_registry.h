@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,6 +17,7 @@
 #include "common/annotations.h"
 #include "common/sketch.h"
 #include "common/stats.h"
+#include "common/string_hash.h"
 
 namespace tsf::common {
 
@@ -71,10 +73,14 @@ class MetricsRegistry {
   // Determinism audit: the three index maps are lookup-only (find/emplace,
   // never iterated). to_json() walks the vectors above, which preserve
   // first-touch order — that invariant is pinned by
-  // tests/common/determinism_order_test.cc.
-  std::unordered_map<std::string, std::size_t> counter_index_;
-  std::unordered_map<std::string, std::size_t> gauge_index_;
-  std::unordered_map<std::string, std::size_t> histogram_index_;
+  // tests/common/determinism_order_test.cc. Lookups take the caller's
+  // string_view as is, so bumping an existing entry never allocates.
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      counter_index_;
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      gauge_index_;
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      histogram_index_;
 };
 
 }  // namespace tsf::common

@@ -1,8 +1,6 @@
 #include "common/sketch.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/diag.h"
 
@@ -56,59 +54,6 @@ double LogSketch::quantile(double q) const {
     }
   }
   return 0.0;  // unreachable when counts are consistent
-}
-
-std::string LogSketch::encode() const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "sketch %a %llu %zu", alpha_,
-                static_cast<unsigned long long>(zero_), total_);
-  std::string out = buf;
-  for (const auto& [index, count] : buckets_) {
-    std::snprintf(buf, sizeof buf, " %d:%llu", index,
-                  static_cast<unsigned long long>(count));
-    out += buf;
-  }
-  return out;
-}
-
-bool LogSketch::decode(std::string_view text, LogSketch* out) {
-  const std::string s(text);
-  const char* p = s.c_str();
-  char* end = nullptr;
-  if (s.rfind("sketch ", 0) != 0) return false;
-  p += 7;
-  const double alpha = std::strtod(p, &end);
-  if (end == p || alpha <= 0.0 || alpha >= 1.0) return false;
-  p = end;
-  const unsigned long long zero = std::strtoull(p, &end, 10);
-  if (end == p) return false;
-  p = end;
-  const unsigned long long total = std::strtoull(p, &end, 10);
-  if (end == p) return false;
-  p = end;
-
-  LogSketch sketch(alpha);
-  sketch.zero_ = zero;
-  sketch.total_ = static_cast<std::size_t>(total);
-  std::uint64_t bucket_sum = zero;
-  while (*p != '\0') {
-    while (*p == ' ') ++p;
-    if (*p == '\0') break;
-    const long index = std::strtol(p, &end, 10);
-    if (end == p || *end != ':') return false;
-    p = end + 1;
-    const unsigned long long count = std::strtoull(p, &end, 10);
-    if (end == p || count == 0) return false;
-    p = end;
-    if (!sketch.buckets_.emplace(static_cast<std::int32_t>(index), count)
-             .second) {
-      return false;  // duplicate bucket
-    }
-    bucket_sum += count;
-  }
-  if (bucket_sum != total) return false;
-  *out = std::move(sketch);
-  return true;
 }
 
 }  // namespace tsf::common

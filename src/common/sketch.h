@@ -6,8 +6,9 @@
 // sketches with the same gamma is exact addition — the merged sketch is
 // bit-identical whether samples were added to one sketch or sharded across
 // many and merged in any order. That is the property the shard harness
-// needs: per-worker response-time distributions pool exactly for any
-// --jobs N, where a sampling reservoir could not.
+// needs: per-cell response-time distributions, computed on whichever thread
+// ran the cell, pool in memory exactly for any --jobs N, where a sampling
+// reservoir could not.
 //
 // Values below kMinValue (including zero; responses are never negative
 // here) land in a dedicated zero bucket and report as 0.0.
@@ -18,8 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
-#include <string_view>
 
 namespace tsf::common {
 
@@ -39,7 +38,6 @@ class LogSketch {
   std::size_t count() const { return total_; }
   bool empty() const { return total_ == 0; }
   double relative_accuracy() const { return alpha_; }
-  double gamma() const { return gamma_; }
 
   // Nearest-rank quantile, q in [0,1]; 0 when empty. The reported value is
   // the bucket midpoint 2*gamma^i/(gamma+1), within alpha of the exact
@@ -48,18 +46,6 @@ class LogSketch {
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
-
-  // Deterministic single-line text form for the shard result pipe:
-  //   "sketch <alpha-hexfloat> <zero-count> <n> <idx>:<count> ..."
-  // with buckets in ascending index order. Exact round trip via decode.
-  TSF_DETERMINISM_CRITICAL
-  std::string encode() const;
-  static bool decode(std::string_view text, LogSketch* out);
-
-  const std::map<std::int32_t, std::uint64_t>& buckets() const {
-    return buckets_;
-  }
-  std::uint64_t zero_count() const { return zero_; }
 
   // Exact equality — same accuracy and identical bucket counts.
   bool operator==(const LogSketch& other) const {

@@ -4,11 +4,20 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/diag.h"
+
 namespace tsf::common {
 
 Duration Duration::from_tu(double tu) {
-  return Duration::ticks(static_cast<std::int64_t>(
-      std::llround(tu * static_cast<double>(kTicksPerTimeUnit))));
+  const double ticks = tu * static_cast<double>(kTicksPerTimeUnit);
+  // Doubles this large are whole numbers, so a value below the sentinel
+  // also rounds below it.
+  TSF_ASSERT(std::isfinite(ticks) &&
+                 std::fabs(ticks) < static_cast<double>(infinite().count()),
+             "Duration::from_tu(" << tu
+                                  << "): not a finite duration below 2^60 "
+                                     "ticks");
+  return Duration::ticks(static_cast<std::int64_t>(std::llround(ticks)));
 }
 
 namespace {

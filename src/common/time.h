@@ -27,6 +27,8 @@ class Duration {
     return Duration(tu * kTicksPerTimeUnit);
   }
   // Rounds to the nearest tick (used at the generator/reporting boundary).
+  // Panics, naming `tu`, unless it is finite and its ticks stay strictly
+  // inside ±infinite().
   static Duration from_tu(double tu);
 
   constexpr std::int64_t count() const { return ticks_; }

@@ -51,7 +51,7 @@ void BinaryTraceWriter::put_delta(std::int64_t ticks) {
 }
 
 std::uint64_t BinaryTraceWriter::intern(std::string_view who) {
-  const auto it = ids_.find(std::string(who));
+  const auto it = ids_.find(who);
   if (it != ids_.end()) return it->second;
   const std::uint64_t id = ids_.size();
   ids_.emplace(std::string(who), id);

@@ -24,11 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
 
 #include "common/annotations.h"
+#include "common/string_hash.h"
 #include "common/trace.h"
 
 namespace tsf::common {
@@ -65,7 +67,8 @@ class BinaryTraceWriter final : public TraceSink {
   // iterated). Entity ids are assigned by arrival order of first use, and
   // the emitted stream is ordered by the record stream itself, so the
   // unordered bucket order never reaches any output.
-  std::unordered_map<std::string, std::uint64_t> ids_;
+  std::unordered_map<std::string, std::uint64_t, StringHash, std::equal_to<>>
+      ids_;
   std::int64_t last_ticks_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;

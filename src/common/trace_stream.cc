@@ -34,7 +34,7 @@ bool opens_interval(TraceKind kind) {
 // StreamingVcd
 
 std::size_t StreamingVcd::intern(std::string_view who) {
-  const auto it = ids_.find(std::string(who));
+  const auto it = ids_.find(who);
   if (it != ids_.end()) return it->second;
   const std::size_t id = entities_.size();
   ids_.emplace(std::string(who), id);
@@ -61,7 +61,7 @@ void StreamingVcd::record(TimePoint at, TraceKind kind, std::string_view who,
 bool StreamingVcd::retract(TimePoint at, TraceKind kind,
                            std::string_view who) {
   if (!have_instant_ || at.ticks() != cur_at_) return false;
-  const auto it = ids_.find(std::string(who));
+  const auto it = ids_.find(who);
   if (it == ids_.end()) return false;
   for (auto h = held_.rbegin(); h != held_.rend(); ++h) {
     if (h->kind == kind && h->entity == it->second) {
@@ -159,7 +159,7 @@ std::string StreamingVcd::header() const {
 // StreamingTraceMetrics
 
 std::size_t StreamingTraceMetrics::intern(std::string_view who) {
-  const auto it = ids_.find(std::string(who));
+  const auto it = ids_.find(who);
   if (it != ids_.end()) return it->second;
   const std::size_t id = entities_.size();
   ids_.emplace(std::string(who), id);
@@ -186,7 +186,7 @@ void StreamingTraceMetrics::record(TimePoint at, TraceKind kind,
 bool StreamingTraceMetrics::retract(TimePoint at, TraceKind kind,
                                     std::string_view who) {
   if (!have_instant_ || at.ticks() != cur_at_) return false;
-  const auto it = ids_.find(std::string(who));
+  const auto it = ids_.find(who);
   if (it == ids_.end()) return false;
   for (auto h = held_.rbegin(); h != held_.rend(); ++h) {
     if (h->kind == kind && h->entity == it->second) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "common/annotations.h"
 #include "common/sketch.h"
 #include "common/stats.h"
+#include "common/string_hash.h"
 #include "common/trace.h"
 
 namespace tsf::common {
@@ -63,7 +65,8 @@ class StreamingVcd final : public TraceSink {
   // Determinism audit: lookup-only intern table; iteration and all output
   // ordering go through `entities_` (insertion-ordered), so bucket order is
   // unobservable.
-  std::unordered_map<std::string, std::size_t> ids_;
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      ids_;
   std::int64_t cur_at_ = 0;
   bool have_instant_ = false;
   std::vector<Held> held_;  // interval-affecting records of cur_at_
@@ -131,7 +134,8 @@ class StreamingTraceMetrics final : public TraceSink {
   std::vector<Entity> entities_;
   // Determinism audit: lookup-only intern table, same contract as
   // StreamingVcd::ids_ — aggregates and reports read `entities_` only.
-  std::unordered_map<std::string, std::size_t> ids_;
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      ids_;
   std::int64_t cur_at_ = 0;
   bool have_instant_ = false;
   std::vector<Held> held_;

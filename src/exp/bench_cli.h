@@ -1,8 +1,8 @@
 // Shared flag vocabulary of the bench/tool mains.
 //
 // Every bench used to hand-roll the same three argv loops: --json FILE
-// (tsf-bench/1 emission for the CI regression gate), --jobs N /
-// --in-process (the sharded experiment harness, exp/shard.h) and --batch N
+// (tsf-bench/1 emission for the CI regression gate), --jobs N (the
+// sharded experiment harness's thread count, exp/shard.h) and --batch N
 // (dispatch batching on the exec engines). Each main declares which groups
 // it understands; consume() recognizes exactly those, and the usage/error
 // reporting is one code path for every bench instead of a copy per main.
@@ -27,7 +27,7 @@ class BenchCli {
  public:
   enum Flags : unsigned {
     kJson = 1u << 0,   // --json FILE
-    kShard = 1u << 1,  // --jobs N, --in-process
+    kShard = 1u << 1,  // --jobs N
     kBatch = 1u << 2,  // --batch N
   };
 

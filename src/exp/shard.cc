@@ -1,19 +1,12 @@
 #include "exp/shard.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cinttypes>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <sstream>
+#include <exception>
+#include <optional>
+#include <stdexcept>
+#include <thread>
 
 #include "common/diag.h"
 #include "sim/simulator.h"
@@ -86,22 +79,10 @@ std::uint64_t digest_spec(const model::SystemSpec& spec) {
 
 // ---------------------------------------------------------------- run_cell
 
-bool shard_forking_available() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return false;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return false;
-#else
-  return true;
-#endif
-#else
-  return true;
-#endif
-}
-
 CellResult run_cell(const WorkUnit& unit) {
-  if (unit.crash_for_test) std::abort();
+  if (unit.crash_for_test) {
+    throw std::runtime_error("crash_for_test is set");
+  }
   using clock = std::chrono::steady_clock;
 
   // Generation is hoisted out of the timed region: materialize (and, when
@@ -135,343 +116,51 @@ CellResult run_cell(const WorkUnit& unit) {
   return out;
 }
 
-// ------------------------------------------------------- the pipe protocol
-//
-// Workers pull 4-byte cell indices from one shared task pipe (writes of 4
-// bytes are atomic, so concurrent readers always see whole records) and
-// write two kinds of newline-terminated records on their private result
-// pipe:
-//
-//   begin <idx>
-//   cell <idx> <aart> <air> <asr> <p50> <p95> <p99> <systems> <jobs>
-//        <digest> <gen_s> <run_s> sketch <alpha> <zero> <n> <idx>:<cnt>...
-//
-// Doubles travel as C99 hexfloats ("%a"), which strtod round-trips exactly
-// — the merged metrics are bit-identical to an in-process run. The trailing
-// field is the cell's response sketch (common/sketch.h text form): integer
-// bucket counts, so the driver can pool cells into table-level quantiles
-// that are byte-identical for any worker count. The `begin` record exists
-// so a crash can be blamed on the in-flight cell.
-
-namespace {
-
-std::string encode_cell(std::uint32_t index, const CellResult& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "cell %u %a %a %a %a %a %a %zu %zu %016" PRIx64 " %a %a ",
-                index, r.metrics.aart, r.metrics.air, r.metrics.asr,
-                r.metrics.p50_response_tu, r.metrics.p95_response_tu,
-                r.metrics.p99_response_tu, r.metrics.systems,
-                r.metrics.total_jobs, r.spec_digest, r.gen_seconds,
-                r.run_seconds);
-  std::string out = buf;
-  out += r.metrics.response_sketch.encode();
-  out += '\n';
-  return out;
-}
-
-bool decode_cell(const std::string& line, std::uint32_t* index,
-                 CellResult* r) {
-  unsigned idx = 0;
-  std::uint64_t digest = 0;
-  int consumed = 0;
-  const int n = std::sscanf(
-      line.c_str(), "cell %u %la %la %la %la %la %la %zu %zu %" SCNx64
-                    " %la %la %n",
-      &idx, &r->metrics.aart, &r->metrics.air, &r->metrics.asr,
-      &r->metrics.p50_response_tu, &r->metrics.p95_response_tu,
-      &r->metrics.p99_response_tu, &r->metrics.systems,
-      &r->metrics.total_jobs, &digest, &r->gen_seconds, &r->run_seconds,
-      &consumed);
-  if (n != 12 || consumed <= 0 ||
-      static_cast<std::size_t>(consumed) > line.size()) {
-    return false;
-  }
-  if (!common::LogSketch::decode(line.substr(static_cast<std::size_t>(consumed)),
-                                 &r->metrics.response_sketch)) {
-    return false;
-  }
-  *index = idx;
-  r->spec_digest = digest;
-  return true;
-}
-
-void write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      _exit(3);  // parent vanished; nothing sensible left to do
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-[[noreturn]] void worker_main(int task_rd, int result_wr,
-                              const std::vector<WorkUnit>& units) {
-  for (;;) {
-    std::uint32_t index = 0;
-    std::size_t have = 0;
-    while (have < sizeof index) {
-      const ssize_t r = ::read(task_rd, reinterpret_cast<char*>(&index) + have,
-                               sizeof index - have);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        _exit(3);
-      }
-      if (r == 0) {
-        // EOF mid-record would mean a torn task; at a record boundary it is
-        // the normal "queue drained" signal.
-        _exit(have == 0 ? 0 : 3);
-      }
-      have += static_cast<std::size_t>(r);
-    }
-    if (index >= units.size()) _exit(3);
-    {
-      char buf[32];
-      const int n = std::snprintf(buf, sizeof buf, "begin %u\n", index);
-      write_all(result_wr, buf, static_cast<std::size_t>(n));
-    }
-    const CellResult result = run_cell(units[index]);
-    const std::string record = encode_cell(index, result);
-    write_all(result_wr, record.data(), record.size());
-  }
-}
-
-struct WorkerState {
-  pid_t pid = -1;
-  int result_rd = -1;
-  std::string buffer;            // partial line from the result pipe
-  std::int64_t in_flight = -1;   // begin'd but not yet cell'd
-  bool done = false;
-};
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  TSF_ASSERT(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-             "fcntl(O_NONBLOCK) failed");
-}
-
-ShardOutcome run_units_serial(const std::vector<WorkUnit>& units) {
-  ShardOutcome outcome;
-  outcome.cells.reserve(units.size());
-  for (const auto& unit : units) {
-    if (unit.crash_for_test) {
-      outcome.error = "worker crashed on cell '" + unit.label +
-                      "' (in-process run)";
-      return outcome;
-    }
-    outcome.cells.push_back(run_cell(unit));
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
-ShardOutcome run_units_forked(const std::vector<WorkUnit>& units, int jobs) {
-  ShardOutcome outcome;
-
-  int task_pipe[2];
-  TSF_ASSERT(::pipe(task_pipe) == 0, "pipe(task) failed");
-  std::vector<WorkerState> workers(static_cast<std::size_t>(jobs));
-  std::vector<int> child_result_wr(workers.size(), -1);
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    int result_pipe[2];
-    TSF_ASSERT(::pipe(result_pipe) == 0, "pipe(result) failed");
-    workers[w].result_rd = result_pipe[0];
-    child_result_wr[w] = result_pipe[1];
-  }
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    const pid_t pid = ::fork();
-    TSF_ASSERT(pid >= 0, "fork failed: " << std::strerror(errno));
-    if (pid == 0) {
-      ::close(task_pipe[1]);
-      for (std::size_t o = 0; o < workers.size(); ++o) {
-        ::close(workers[o].result_rd);
-        if (o != w) ::close(child_result_wr[o]);
-      }
-      worker_main(task_pipe[0], child_result_wr[w], units);
-    }
-    workers[w].pid = pid;
-  }
-  ::close(task_pipe[0]);
-  for (const int fd : child_result_wr) ::close(fd);
-  set_nonblocking(task_pipe[1]);
-  for (auto& w : workers) set_nonblocking(w.result_rd);
-  // A worker that dies mid-write would otherwise kill the parent.
-  struct sigaction ignore_pipe = {};
-  struct sigaction old_pipe = {};
-  ignore_pipe.sa_handler = SIG_IGN;
-  ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
-
-  std::map<std::uint32_t, CellResult> results;
-  std::size_t next_task = 0;
-  int task_wr = task_pipe[1];
-  auto note_error = [&outcome](const std::string& message) {
-    if (outcome.error.empty()) outcome.error = message;
-  };
-
-  auto consume_line = [&](WorkerState& w, const std::string& line) {
-    std::uint32_t index = 0;
-    CellResult cell;
-    if (std::sscanf(line.c_str(), "begin %u", &index) == 1 &&
-        line.rfind("begin ", 0) == 0) {
-      w.in_flight = index;
-      return;
-    }
-    if (decode_cell(line, &index, &cell)) {
-      w.in_flight = -1;
-      if (!results.emplace(index, cell).second) {
-        note_error("cell '" + units[index].label + "' reported twice");
-      }
-      return;
-    }
-    note_error("malformed worker record: '" + line + "'");
-  };
-
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> owners;
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (workers[w].done) continue;
-      fds.push_back({workers[w].result_rd, POLLIN, 0});
-      owners.push_back(w);
-    }
-    if (fds.empty()) break;  // every worker reaped
-    if (task_wr >= 0) {
-      if (next_task >= units.size()) {
-        ::close(task_wr);
-        task_wr = -1;
-      } else {
-        fds.push_back({task_wr, POLLOUT, 0});
-      }
-    }
-    const int rc = ::poll(fds.data(), fds.size(), -1);
-    if (rc < 0 && errno == EINTR) continue;
-    TSF_ASSERT(rc >= 0, "poll failed: " << std::strerror(errno));
-
-    // Feed the task queue while there is room (4-byte writes to a pipe are
-    // atomic: all-or-EAGAIN, never torn).
-    if (task_wr >= 0 && (fds.back().revents & (POLLOUT | POLLERR))) {
-      while (next_task < units.size()) {
-        const auto index = static_cast<std::uint32_t>(next_task);
-        const ssize_t w = ::write(task_wr, &index, sizeof index);
-        if (w == sizeof index) {
-          ++next_task;
-          continue;
-        }
-        if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (w < 0 && errno == EINTR) continue;
-        // EPIPE: every worker is gone; their exit statuses tell the story.
-        break;
-      }
-    }
-
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      WorkerState& w = workers[owners[i]];
-      char buf[4096];
-      bool eof = false;
-      for (;;) {
-        const ssize_t r = ::read(w.result_rd, buf, sizeof buf);
-        if (r > 0) {
-          w.buffer.append(buf, static_cast<std::size_t>(r));
-          continue;
-        }
-        if (r == 0) {
-          eof = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        eof = true;
-        break;
-      }
-      std::size_t start = 0;
-      for (std::size_t nl = w.buffer.find('\n', start);
-           nl != std::string::npos; nl = w.buffer.find('\n', start)) {
-        consume_line(w, w.buffer.substr(start, nl - start));
-        start = nl + 1;
-      }
-      w.buffer.erase(0, start);
-      if (!eof) continue;
-
-      ::close(w.result_rd);
-      w.done = true;
-      int status = 0;
-      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      const bool crashed =
-          WIFSIGNALED(status) || (WIFEXITED(status) && WEXITSTATUS(status) != 0);
-      if (crashed) {
-        std::ostringstream oss;
-        oss << "worker " << w.pid << ' ';
-        if (WIFSIGNALED(status)) {
-          oss << "was killed by signal " << WTERMSIG(status);
-        } else {
-          oss << "exited with status " << WEXITSTATUS(status);
-        }
-        if (w.in_flight >= 0) {
-          oss << " while running cell '"
-              << units[static_cast<std::size_t>(w.in_flight)].label << '\'';
-        }
-        note_error(oss.str());
-      }
-    }
-  }
-  if (task_wr >= 0) ::close(task_wr);
-  ::sigaction(SIGPIPE, &old_pipe, nullptr);
-
-  // Every cell must have reported exactly once (a worker death can also
-  // swallow a queued task whose begin record never appeared).
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (results.count(static_cast<std::uint32_t>(i)) == 0) {
-      note_error("cell '" + units[i].label + "' produced no result");
-    }
-  }
-  if (!outcome.error.empty()) return outcome;
-  outcome.cells.reserve(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    outcome.cells.push_back(results[static_cast<std::uint32_t>(i)]);
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
-}  // namespace
+// --------------------------------------------------------------- run_units
 
 ShardOutcome run_units(const std::vector<WorkUnit>& units,
                        const ShardOptions& options) {
-  const int jobs =
-      std::min<int>(options.jobs, static_cast<int>(units.size()));
-  if (options.in_process || !shard_forking_available() || jobs <= 1 ||
-      units.empty()) {
-    return run_units_serial(units);
-  }
-  return run_units_forked(units, jobs);
-}
-
-bool parse_shard_flag(int argc, char** argv, int* i, ShardOptions* options) {
-  if (std::strcmp(argv[*i], "--jobs") == 0) {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "--jobs needs a value\n");
-      return false;
+  ShardOutcome outcome;
+  outcome.cells.resize(units.size());
+  // Slot i of `cells` and `errors` is written only by the thread that took
+  // index i; joining the helpers publishes every slot to this thread.
+  std::vector<std::optional<std::string>> errors(units.size());
+  std::atomic<std::size_t> next{0};
+  // Once a cell fails no further index is taken. Every lower index was
+  // taken before the failing one and still finishes, so the first failure
+  // in unit order is the same for any thread count.
+  std::atomic<bool> stop{false};
+  const auto work = [&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= units.size()) return;
+      const common::PanicContext context("running cell '" + units[i].label +
+                                         "'");
+      try {
+        outcome.cells[i] = run_cell(units[i]);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      } catch (...) {
+        errors[i] = "unknown exception";
+      }
+      if (errors[i]) stop.store(true, std::memory_order_relaxed);
     }
-    char* end = nullptr;
-    const long n = std::strtol(argv[++*i], &end, 10);
-    if (end == nullptr || *end != '\0' || n < 1 || n > 1024) {
-      std::fprintf(stderr, "bad --jobs value '%s'\n", argv[*i]);
-      return false;
+  };
+  const std::size_t threads = std::min(
+      static_cast<std::size_t>(std::max(options.jobs, 1)), units.size());
+  {
+    std::vector<std::jthread> helpers;  // joined when they go out of scope
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
+    work();
+  }
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (errors[i]) {
+      outcome.error = "cell '" + units[i].label + "' failed: " + *errors[i];
+      return outcome;
     }
-    options->jobs = static_cast<int>(n);
-    return true;
   }
-  if (std::strcmp(argv[*i], "--in-process") == 0) {
-    options->in_process = true;
-    return true;
-  }
-  std::fprintf(stderr, "unknown argument '%s'\n", argv[*i]);
-  return false;
+  outcome.ok = true;
+  return outcome;
 }
 
 }  // namespace tsf::exp

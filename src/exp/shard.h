@@ -1,15 +1,15 @@
 // Sharded experiment harness: the paper's tables and the ablation grids are
 // grids of independent cells (one parameter set under one policy and mode),
-// so they parallelize perfectly. A WorkUnit is one cell; run_units fans the
-// cells out across fork()ed worker processes that pull cell indices from a
-// shared task pipe and stream results back over per-worker result pipes,
-// then merges the SetMetrics back in canonical cell order. Metrics cross
-// the pipe in hexfloat, so the merged results are bit-identical to an
-// in-process run regardless of worker count or completion order — the
-// property the paper-tables CI job checks byte-for-byte on the JSON.
+// so they parallelize perfectly. A WorkUnit is one cell; run_units runs the
+// cells on a few threads that take cell indices from one shared counter and
+// write each result into its own slot, so the results come back in
+// canonical cell order, bit-identical to a serial run regardless of thread
+// count or completion order — the property the paper-tables CI job checks
+// byte-for-byte on the JSON. Each cell builds its own worlds on the thread
+// that runs it; cells share nothing but the read-only unit list.
 //
-// Generation is hoisted out of the measured region: each worker first
-// materializes the cell's systems (recording gen_seconds), then runs them
+// Generation is hoisted out of the measured region: each cell first
+// materializes its systems (recording gen_seconds), then runs them
 // (run_seconds), and digests the generated specs so callers can assert that
 // every shard layout generated exactly the same systems.
 #pragma once
@@ -23,8 +23,7 @@
 
 namespace tsf::exp {
 
-// One independent cell of an experiment grid. The whole unit lives in the
-// parent's memory before the fork — only results cross the pipe.
+// One independent cell of an experiment grid.
 struct WorkUnit {
   // Names the cell in errors, progress and JSON, e.g. "table2/(1,0)".
   std::string label;
@@ -34,8 +33,8 @@ struct WorkUnit {
   // When set, applied to every generated spec before the run (the §7
   // interruption-avoidance margin the ablation sweeps).
   std::optional<common::Duration> admission_margin;
-  // Test hook for the crash-surfacing path: the worker aborts instead of
-  // running the cell.
+  // Test hook for the failure path: run_cell throws instead of running the
+  // cell.
   bool crash_for_test = false;
 };
 
@@ -51,43 +50,31 @@ struct CellResult {
 };
 
 struct ShardOptions {
-  // Worker processes; <= 1 runs the cells serially in-process.
+  // Threads running cells, the calling thread included (never more than
+  // there are cells); 1 runs every cell on the calling thread.
   int jobs = 1;
-  // Forces the serial in-process path even when jobs > 1 (sanitized builds
-  // fork poorly; run_units also falls back on its own under ASan/TSan).
-  bool in_process = false;
 };
 
 struct ShardOutcome {
   bool ok = false;
-  // Human-readable failure naming the cell (worker crash, lost result).
+  // Human-readable failure naming the first failing cell in unit order.
   std::string error;
   // One result per unit, in unit order. Only meaningful when ok.
   std::vector<CellResult> cells;
 };
 
-// Whether run_units will actually fork for jobs > 1 in this build (false
-// under ASan/TSan, where the fallback runs everything in-process).
-bool shard_forking_available();
-
 // Deterministic digest of one spec's workload-defining fields.
 std::uint64_t digest_spec(const model::SystemSpec& spec);
 
-// Runs one cell in this process: generate (untimed), run, measure.
-// A crash_for_test unit returns an error through ShardOutcome when called
-// via run_units' in-process path; calling run_cell on it directly aborts.
+// Runs one cell on the calling thread: generate (untimed), run, measure.
+// Throws on a crash_for_test unit.
 CellResult run_cell(const WorkUnit& unit);
 
-// Runs every unit and returns results in unit order. Worker failures (a
-// crashed or nonzero-exiting worker, a cell that never reported) fail the
-// whole run with the cell named.
+// Runs every unit and returns results in unit order. A cell that throws
+// fails the whole run (ok == false) with the first failing cell in unit
+// order named in `error`; cells not yet started then never start. A cell
+// that panics aborts the process, and the panic message names the cell.
 ShardOutcome run_units(const std::vector<WorkUnit>& units,
                        const ShardOptions& options = {});
-
-// `--jobs N` / `--in-process` from a bench/tool argv. Returns false (with a
-// message on stderr) on a malformed value or an argument it doesn't know.
-// Bench mains should prefer exp::BenchCli (exp/bench_cli.h), which folds
-// this into the shared flag vocabulary with one usage/error path.
-bool parse_shard_flag(int argc, char** argv, int* i, ShardOptions* options);
 
 }  // namespace tsf::exp

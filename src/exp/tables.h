@@ -41,7 +41,7 @@ SetMetrics run_set(const gen::GeneratorParams& params, Mode mode,
                    const ExecOptions& exec_options = {});
 
 struct WorkUnit;      // exp/shard.h — one cell of an experiment grid
-struct ShardOptions;  // exp/shard.h — worker-process fan-out knobs
+struct ShardOptions;  // exp/shard.h — how many threads run the cells
 
 // Runs all six sets and renders the table in the paper's layout (AART/AIR/
 // ASR rows; two banks of three columns).
@@ -63,9 +63,9 @@ std::vector<WorkUnit> paper_table_units(const std::string& table_id,
                                         model::ServerPolicy policy, Mode mode,
                                         const ExecOptions& exec_options = {});
 
-// Runs the six cells through the sharded harness (serially in-process by
-// default) and assembles the table. Panics on a harness failure — a worker
-// crash names the cell.
+// Runs the six cells through the sharded harness (on the calling thread by
+// default) and assembles the table. Panics on a harness failure, naming the
+// failing cell.
 PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,
                            const ExecOptions& exec_options = {});
 PaperTable run_paper_table(model::ServerPolicy policy, Mode mode,

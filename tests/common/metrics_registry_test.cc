@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+
+// The only translation unit of this binary that includes the interposer.
+#include "support/alloc_interposer.h"
 
 namespace tsf::common {
 namespace {
@@ -26,6 +30,34 @@ TEST(MetricsRegistry, GaugeLastWriteWins) {
   m.set_gauge("u", 0.75);
   EXPECT_EQ(m.gauge("u"), 0.75);
   EXPECT_EQ(m.gauge("missing"), 0.0);
+}
+
+TEST(MetricsRegistry, UpdatingExistingLongNamesAllocatesNothing) {
+  if (!tsf::testing::alloc_interposer_active()) {
+    GTEST_SKIP() << "sanitizer build: interposer compiled out";
+  }
+  // The boundary's own names, all past the 15-byte small-string buffer, so
+  // a std::string built per lookup would heap-allocate.
+  constexpr std::string_view kCounter = "mp.fabric.deliveries";
+  constexpr std::string_view kGauge = "mp.epoch.host_seconds";
+  constexpr std::string_view kHistogram = "mp.fabric.drain_size";
+  MetricsRegistry m;
+  m.add_counter(kCounter);
+  m.set_gauge(kGauge, 0.5);
+  m.observe(kHistogram, 4.0);
+
+  const std::uint64_t before = tsf::testing::alloc_count();
+  for (int i = 0; i < 100; ++i) {
+    m.add_counter(kCounter, 2);
+    m.set_gauge(kGauge, static_cast<double>(i));
+    m.observe(kHistogram, 4.0);  // the bucket the first sample opened
+  }
+  const std::uint64_t after = tsf::testing::alloc_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(m.counter(kCounter), 201u);
+  EXPECT_EQ(m.gauge(kGauge), 99.0);
+  ASSERT_NE(m.histogram(kHistogram), nullptr);
+  EXPECT_EQ(m.histogram(kHistogram)->count(), 101u);
 }
 
 TEST(MetricsRegistry, HistogramTracksDistribution) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace tsf::common {
@@ -18,6 +20,34 @@ TEST(Duration, FromTuRoundsToNearestTick) {
   EXPECT_EQ(Duration::from_tu(0.0004), Duration::ticks(0));
   EXPECT_EQ(Duration::from_tu(0.0006), Duration::ticks(1));
   EXPECT_EQ(Duration::from_tu(-1.5), Duration::ticks(-1500));
+}
+
+TEST(Duration, FromTuInRangeRoundsAsLlround) {
+  // The range check changes nothing inside the range: every value rounds
+  // exactly as std::llround of its ticks, halves away from zero, up to the
+  // largest tick count below the 2^60 sentinel.
+  const double largest_tu =
+      static_cast<double>(Duration::infinite().count() - 512) / 1000.0;
+  for (const double tu : {0.0, 0.0005, -0.0005, 0.0015, 2.5e-3, 0.1, -7.25,
+                          1234.5678, 1e12, -1e12, largest_tu, -largest_tu}) {
+    EXPECT_EQ(Duration::from_tu(tu).count(), std::llround(tu * 1000.0))
+        << tu;
+  }
+  EXPECT_LT(Duration::from_tu(largest_tu), Duration::infinite());
+}
+
+TEST(DurationDeathTest, FromTuRejectsNonFiniteAndOutOfRange) {
+  EXPECT_DEATH(Duration::from_tu(std::nan("")), "from_tu\\(nan\\)");
+  EXPECT_DEATH(Duration::from_tu(std::numeric_limits<double>::infinity()),
+               "from_tu\\(inf\\)");
+  EXPECT_DEATH(Duration::from_tu(-std::numeric_limits<double>::infinity()),
+               "from_tu\\(-inf\\)");
+  EXPECT_DEATH(Duration::from_tu(1e300), "from_tu\\(1e\\+300\\)");
+  // Exactly the sentinel, in either direction.
+  const double sentinel_tu =
+      static_cast<double>(Duration::infinite().count()) / 1000.0;
+  EXPECT_DEATH(Duration::from_tu(sentinel_tu), "from_tu");
+  EXPECT_DEATH(Duration::from_tu(-sentinel_tu), "from_tu");
 }
 
 TEST(Duration, Arithmetic) {

@@ -2,10 +2,11 @@
 //
 // Hammers the nastiest configuration the backend supports — 4 cores,
 // semi-partitioned stealing plus drift rebalancing plus cost jitter, so
-// every epoch boundary moves work between cores — and cross-validates every
-// run against a lock-step oracle signature computed once up front. Any
-// divergence (served/missed sets, trace fingerprint) or crash fails the
-// binary.
+// every epoch boundary moves work between cores, and every aperiodic job
+// firing a triggered job, so several cores fill their outboxes in the same
+// epoch — and cross-validates every run against a lock-step oracle
+// signature computed once up front. Any divergence (served/missed sets,
+// trace fingerprint) or crash fails the binary.
 //
 // Registered as ctest `tsf_stress_threads` under CONFIGURATIONS stress, so
 // the default label sweep skips it; CI runs it explicitly with
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -52,9 +54,9 @@ tsf::model::SystemSpec stress_spec(int cores) {
     job.name = "a" + std::to_string(j);
     job.release = at_tu(1 + 2 * j);
     job.cost = tu(1);
+    job.fires = "trig";
     spec.aperiodic_jobs.push_back(job);
   }
-  spec.aperiodic_jobs[0].fires = "trig";
   tsf::model::AperiodicJobSpec trig;
   trig.name = "trig";
   trig.triggered = true;
@@ -94,6 +96,21 @@ Signature signature_of(const tsf::mp::MpRunResult& run) {
   return sig;
 }
 
+// Whether some epoch boundary delivers fires posted by two or more cores:
+// only then do several outboxes hold data in the same epoch.
+bool fires_from_several_cores_in_one_epoch(const tsf::mp::MpRunResult& run) {
+  std::map<TimePoint, std::set<std::size_t>> producers;
+  for (const auto& d : run.channel_deliveries) {
+    if (d.kind == tsf::exp::ChannelDelivery::Kind::kFire && d.ok) {
+      producers[d.delivered].insert(d.from_core);
+    }
+  }
+  for (const auto& [boundary, cores] : producers) {
+    if (cores.size() >= 2) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int main() {
@@ -113,9 +130,15 @@ int main() {
 
   // The oracle signature, computed once on the deterministic backend.
   options.backend = tsf::mp::ExecBackend::kLockstep;
-  const auto oracle = signature_of(tsf::mp::run(spec, options));
+  const auto lockstep = tsf::mp::run(spec, options);
+  const auto oracle = signature_of(lockstep);
   if (oracle.served.empty()) {
     std::cerr << "stress: oracle served nothing — spec is broken\n";
+    return 1;
+  }
+  if (!fires_from_several_cores_in_one_epoch(lockstep)) {
+    std::cerr << "stress: no boundary delivers fires from two or more cores"
+                 " — spec is broken\n";
     return 1;
   }
 

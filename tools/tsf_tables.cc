@@ -1,21 +1,20 @@
 // tsf_tables — sharded reproduction of the paper's Tables 2-5.
 //
 // Decomposes the selected tables into one WorkUnit per (set, policy, mode)
-// cell, fans the cells out over fork()ed workers (--jobs N) and reassembles
-// each table in canonical order, so the text and JSON output are
-// byte-identical to a serial run regardless of worker count.
+// cell, runs the cells on --jobs N threads and reassembles each table in
+// canonical order, so the text and JSON output are byte-identical to a
+// serial run regardless of thread count.
 //
 // Usage:
-//   tsf_tables [--tables 2,3,4,5] [--jobs N] [--json FILE] [--in-process]
-//              [--no-text]
+//   tsf_tables [--tables 2,3,4,5] [--jobs N] [--json FILE] [--no-text]
 //
 //   --tables      comma-separated table ids (default: all four)
 //                   2 = Polling Server simulations   3 = PS executions
 //                   4 = Deferrable Server simulations 5 = DS executions
-//   --jobs N      worker processes (default 1 = serial in-process)
+//   --jobs N      threads running cells (default 1: every cell on the
+//                 main thread)
 //   --json FILE   also write the versioned machine-readable document
 //                 ("tsf-tables/1"; see README). '-' writes it to stdout.
-//   --in-process  never fork (sanitized builds)
 //   --no-text     suppress the paper-layout text tables
 //
 // Timing (generation vs run, wall-clock) goes to stderr only — the JSON
@@ -98,8 +97,8 @@ int main(int argc, char** argv) {
   const exp::ShardOptions& shard = cli.shard;
   const std::string& json_path = cli.json_path;
 
-  // One flat unit list across every selected table, so the worker pool
-  // balances sim cells (cheap) against exec cells (expensive).
+  // One flat unit list across every selected table, so the threads
+  // balance sim cells (cheap) against exec cells (expensive).
   std::vector<exp::WorkUnit> units;
   for (const int id : selected) {
     const TableId& t = *find_table(id);
