@@ -1,12 +1,12 @@
 // Throughput and memory ceiling of the streaming trace pipeline.
 //
 // Synthesizes a horizon-scale record stream (release/start/complete per
-// job, with the VM's provisional-preempt/retract churn mixed in) and pushes
-// it through the production sink stack — binary tsf-trace/1 writer,
-// streaming fingerprint, streaming metrics — without ever materializing a
-// Timeline. At the default 10^6 jobs that is 3×10^6 records; CI runs 10^7
-// jobs under a hard address-space ulimit to prove the pipeline stays
-// O(entities) where the materialized path would need gigabytes.
+// job) and pushes it through the production sink stack — binary tsf-trace/1
+// writer, streaming fingerprint, streaming metrics — without ever
+// materializing a Timeline. At the default 10^6 jobs that is 3×10^6
+// records; CI runs 10^7 jobs under a hard address-space ulimit to prove the
+// pipeline stays O(entities) where the materialized path would need
+// gigabytes.
 //
 // Before the timed pass, a 50k-job prefix is run through both the streaming
 // and the materialized paths and must agree: streaming fingerprint ==
@@ -48,9 +48,7 @@ class NullBuf : public std::streambuf {
 
 // Deterministic synthetic workload: one processor, `entities` servers used
 // round-robin, each job released and started at the same instant and
-// completed 1..7 ticks later. Every 64th job appends a provisional kPreempt
-// at the completion instant and immediately retracts it — the VM's
-// horizon-pause pattern — so retraction stays on the measured path.
+// completed 1..7 ticks later.
 void generate(common::TraceSink* sink, std::uint64_t jobs,
               std::uint64_t entities,
               const std::vector<std::string>& names) {
@@ -64,10 +62,6 @@ void generate(common::TraceSink* sink, std::uint64_t jobs,
                  static_cast<std::int64_t>(j));
     sink->record(release, common::TraceKind::kStart, who);
     sink->record(done, common::TraceKind::kComplete, who);
-    if (j % 64 == 63) {
-      sink->record(done, common::TraceKind::kPreempt, who);
-      sink->retract(done, common::TraceKind::kPreempt, who);
-    }
     t += cost + 1;
   }
 }
@@ -175,7 +169,6 @@ int main(int argc, char** argv) {
 
   const auto begin = std::chrono::steady_clock::now();
   generate(&tee, count, entities, names);
-  metrics.finish();
   const auto end = std::chrono::steady_clock::now();
   const double seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(end - begin)
@@ -191,8 +184,6 @@ int main(int argc, char** argv) {
 
   std::printf("jobs            %llu\n", static_cast<unsigned long long>(count));
   std::printf("records         %.0f\n", records);
-  std::printf("retractions     %llu\n",
-              static_cast<unsigned long long>(metrics.retractions()));
   std::printf("bytes/record    %.3f\n", bytes_per_record);
   std::printf("events/sec      %.3g\n", events_per_sec);
   std::printf("max rss         %.1f MB\n", rss_mb);

@@ -158,7 +158,6 @@ void fold_trace_summary(const common::Timeline& timeline,
   for (const auto& r : timeline.records()) {
     summary.record(r.at, r.kind, r.who, r.value, r.note);
   }
-  summary.finish();
   metrics->add_counter("trace.records", summary.records());
   metrics->add_counter("trace.entities", summary.entity_count());
   for (std::size_t k = 0; k < common::kTraceKindCount; ++k) {

@@ -63,10 +63,10 @@ class InvariantChecker : public TraceSink {
   void note_shed_ledger(std::size_t core, std::string_view job,
                         std::int64_t release_ticks, bool takeover);
 
-  // TraceSink. Records must arrive in non-decreasing time order per core.
+  // TraceSink. Records must arrive in non-decreasing time order per core;
+  // traces are append-only, so each is checked once, as it arrives.
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
   // End-of-stream checks (ledger reconciliation + admitted-deadline-miss
   // scan) and every violation collected while streaming.

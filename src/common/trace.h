@@ -5,12 +5,12 @@
 // extractor for tests that assert exact execution windows (e.g. "h2 runs in
 // [12,14) in scenario 2").
 //
-// Emission goes through the TraceSink interface: the engines call
-// record()/retract() on a sink pointer, and the in-memory Timeline is just
-// one implementation of it. The streaming sinks (common/trace_sink.h,
-// common/trace_io.h, common/trace_stream.h) consume the same stream without
-// materializing it, which is what keeps horizon-scale runs O(1) in trace
-// length.
+// Emission goes through the TraceSink interface: the engines call record()
+// on a sink pointer, and the in-memory Timeline is just one implementation
+// of it. The trace is append-only — a record, once emitted, is never taken
+// back — so the streaming sinks (common/trace_sink.h, common/trace_io.h,
+// common/trace_stream.h) consume the same stream without materializing it,
+// which is what keeps horizon-scale runs O(1) in trace length.
 #pragma once
 
 #include <cstdint>
@@ -68,32 +68,20 @@ struct Interval {
 };
 
 // Consumer of a trace stream. Both engines emit records in non-decreasing
-// time order and only ever retract a record at the current (maximum)
-// instant — the VM's provisional horizon-pause record. Streaming sinks rely
-// on that invariant: they may buffer only the records of the current
-// instant and fold everything older into their running state, so a retract
-// of an already-folded instant is not honoured (returns false). The
-// materialized Timeline honours any retract its backward scan can reach.
+// time order and never take one back, so a streaming sink folds each record
+// into its running state as it arrives.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
 
   virtual void record(TimePoint at, TraceKind kind, std::string_view who,
                       std::int64_t value = 0, std::string_view note = {}) = 0;
-
-  // Removes the most recent record matching (at, kind, who); returns
-  // whether one was found.
-  virtual bool retract(TimePoint at, TraceKind kind, std::string_view who) = 0;
 };
 
 class Timeline : public TraceSink {
  public:
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-
-  // The VM uses retract to drop a provisional horizon-pause record when the
-  // paused fiber resumes seamlessly in a later run_until.
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
   const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }

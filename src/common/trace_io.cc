@@ -11,7 +11,6 @@ namespace {
 
 constexpr std::uint8_t kOpDefine = 0x01;
 constexpr std::uint8_t kOpRecord = 0x02;
-constexpr std::uint8_t kOpRetract = 0x03;
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -83,18 +82,6 @@ void BinaryTraceWriter::record(TimePoint at, TraceKind kind,
   ++records_;
 }
 
-bool BinaryTraceWriter::retract(TimePoint at, TraceKind kind,
-                                std::string_view who) {
-  const std::uint64_t id = intern(who);
-  const std::uint8_t op = kOpRetract;
-  put_bytes(&op, 1);
-  put_delta(at.ticks());
-  put_varint(id);
-  const auto k = static_cast<std::uint8_t>(kind);
-  put_bytes(&k, 1);
-  return true;
-}
-
 namespace {
 
 struct Reader {
@@ -156,7 +143,9 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
 
   Reader r{in, {}};
   std::vector<std::string> entities;
+  std::vector<bool> open;  // per entity: busy interval open
   std::int64_t last_ticks = 0;
+  std::uint64_t records = 0;
   std::string note;
   for (;;) {
     std::uint8_t op;
@@ -165,11 +154,10 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
       std::string name;
       if (!r.get_string(&name)) return fail(r.error);
       entities.push_back(std::move(name));
+      open.push_back(false);
       continue;
     }
-    if (op != kOpRecord && op != kOpRetract) {
-      return fail("unknown opcode " + std::to_string(op));
-    }
+    if (op != kOpRecord) return fail("unknown opcode " + std::to_string(op));
     std::uint64_t delta, id;
     std::uint8_t kind;
     if (!r.get_varint(&delta)) return fail(r.error);
@@ -177,12 +165,6 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
     if (id >= entities.size()) return fail("entity id out of range");
     if (!r.get_byte(&kind)) return fail("truncated entry");
     if (kind >= kTraceKindCount) return fail("kind out of range");
-    last_ticks += unzigzag(delta);
-    const TimePoint at = TimePoint::at_ticks(last_ticks);
-    if (op == kOpRetract) {
-      sink->retract(at, static_cast<TraceKind>(kind), entities[id]);
-      continue;
-    }
     std::uint64_t uv = 0;
     for (std::size_t i = 0; i < 8; ++i) {
       std::uint8_t byte;
@@ -190,7 +172,35 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
       uv |= static_cast<std::uint64_t>(byte) << (8 * i);
     }
     if (!r.get_string(&note)) return fail(r.error);
-    sink->record(at, static_cast<TraceKind>(kind), entities[id],
+
+    // Every record is final and in time order; last_ticks stays within
+    // [0, 2^60), so neither check can overflow.
+    ++records;
+    const auto k = static_cast<TraceKind>(kind);
+    const auto bad = [&](const std::string& what) {
+      return fail("record " + std::to_string(records) + " (" + to_string(k) +
+                  " '" + entities[id] + "'): " + what);
+    };
+    const std::int64_t step = unzigzag(delta);
+    if (step < 0) {
+      return bad("its tick falls below the previous record's " +
+                 std::to_string(last_ticks));
+    }
+    if (step >= Duration::infinite().count() - last_ticks) {
+      return bad("its tick reaches 2^60 (Duration::infinite())");
+    }
+    last_ticks += step;
+    if (k == TraceKind::kStart || k == TraceKind::kResume) {
+      if (open[id]) {
+        return bad("its busy interval is already open at tick " +
+                   std::to_string(last_ticks));
+      }
+      open[id] = true;
+    } else if (k == TraceKind::kPreempt || k == TraceKind::kComplete ||
+               k == TraceKind::kAbort) {
+      open[id] = false;
+    }
+    sink->record(TimePoint::at_ticks(last_ticks), k, entities[id],
                  static_cast<std::int64_t>(uv), note);
   }
   return true;

@@ -11,16 +11,11 @@
 //                           u8     kind
 //                           8 bytes value (int64, little-endian, fixed)
 //                           varint note_len, note bytes
-//     0x03  retract         varint zigzag(ticks - last_ticks)
-//                           varint entity_id
-//                           u8     kind
 //
-// Timestamps are delta-encoded against the previous entry's ticks (records
-// and retractions both advance the cursor), so the steady-state cost of a
-// record with an interned name and an empty note is 5 + a few bytes.
-// Retractions are tombstones: the writer appends them instead of seeking
-// back, and replay applies them through TraceSink::retract — so the VM's
-// provisional horizon-pause retract survives a round trip through a file.
+// Timestamps are delta-encoded against the previous record's ticks, so the
+// steady-state cost of a record with an interned name and an empty note is
+// 5 + a few bytes. Traces are append-only: every record is final, and the
+// records of a stream are in time order.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +43,6 @@ class BinaryTraceWriter final : public TraceSink {
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
 
-  // Appends a tombstone. The writer cannot know whether a matching record
-  // exists downstream; it reports true and lets replay decide.
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
-
   std::uint64_t bytes_written() const { return bytes_; }
   std::uint64_t records_written() const { return records_; }
 
@@ -74,11 +64,13 @@ class BinaryTraceWriter final : public TraceSink {
   std::uint64_t records_ = 0;
 };
 
-// Replays a tsf-trace/1 stream into `sink` (records via record(),
-// tombstones via retract()). Replaying into a Timeline materializes the
-// post-retraction trace; replaying into the streaming sinks keeps the whole
-// pass O(1) in trace length. Returns false with a message in *error on a
-// malformed stream.
+// Replays a tsf-trace/1 stream into `sink`. Replaying into a Timeline
+// materializes the trace; replaying into the streaming sinks keeps the
+// whole pass O(1) in trace length. Returns false with a message in *error
+// on a malformed stream, before the offending record reaches the sink: an
+// unknown entry, a truncated one, a record whose ticks fall below the
+// previous record's or reach Duration::infinite() (2^60), or a kStart /
+// kResume for an entity whose busy interval is already open.
 bool read_trace(std::istream& in, TraceSink* sink, std::string* error);
 
 // Convenience: serializes an already-materialized timeline.

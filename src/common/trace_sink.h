@@ -2,12 +2,9 @@
 //
 // The streaming fingerprint is the proof-of-concept for the whole O(1)
 // pipeline: fingerprint(Timeline) is an order-sensitive fold over the final
-// record vector, and the engines mutate that vector in exactly one way —
-// the VM retracts its provisional horizon-pause record, always at the
-// current instant. Since records arrive in non-decreasing time order and
-// retraction only ever targets the current (maximum) instant, a sink that
-// buffers just the records of the current instant and folds older instants
-// into a running hash reproduces the materialized fingerprint bit for bit.
+// record vector, and the engines only ever append to that vector. A sink
+// that folds each record into a running hash as it arrives therefore
+// reproduces the materialized fingerprint bit for bit, holding nothing.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +16,8 @@
 
 namespace tsf::common {
 
-// Fans every record/retract out to each attached sink (none owned). Used to
-// keep the materialized Timeline while a streaming consumer listens in.
+// Fans every record out to each attached sink (none owned). Used to keep
+// the materialized Timeline while a streaming consumer listens in.
 class TeeSink final : public TraceSink {
  public:
   TeeSink() = default;
@@ -35,52 +32,30 @@ class TeeSink final : public TraceSink {
     for (auto* sink : sinks_) sink->record(at, kind, who, value, note);
   }
 
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override {
-    bool any = false;
-    for (auto* sink : sinks_) any = sink->retract(at, kind, who) || any;
-    return any;
-  }
-
  private:
   std::vector<TraceSink*> sinks_;
 };
 
 // Folds FNV-1a record by record; digest() is bit-identical to
-// fingerprint(Timeline) over the same (post-retraction) stream. Memory is
-// bounded by the records of the current instant, not the trace length.
+// fingerprint(Timeline) over the same stream. O(1) memory.
 class StreamingFingerprint final : public TraceSink {
  public:
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
-              std::int64_t value = 0, std::string_view note = {}) override;
+              std::int64_t value = 0, std::string_view note = {}) override {
+    hash_ = fnv1a_record(hash_, at, kind, who, value, note);
+    ++records_;
+  }
 
-  // Honoured only at the buffered (current) instant — the only retraction
-  // the engines perform. Returns false for older instants.
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
+  // Records folded so far.
+  std::uint64_t records() const { return records_; }
 
-  // Records folded or buffered so far (post-retraction).
-  std::uint64_t records() const { return folded_count_ + pending_.size(); }
-
-  // The fingerprint of everything seen so far. Folds a copy of the pending
-  // instant, so the sink stays usable afterwards.
-  TSF_DETERMINISM_CRITICAL
-  std::uint64_t digest() const;
+  // The fingerprint of everything seen so far.
+  std::uint64_t digest() const { return hash_; }
 
  private:
-  struct Pending {
-    TraceKind kind;
-    std::string who;
-    std::int64_t value;
-    std::string note;
-  };
-
-  void flush();
-
   std::uint64_t hash_ = kFnvOffsetBasis;
-  std::uint64_t folded_count_ = 0;
-  TimePoint pending_at_;
-  std::vector<Pending> pending_;
+  std::uint64_t records_ = 0;
 };
 
 }  // namespace tsf::common

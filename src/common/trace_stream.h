@@ -1,11 +1,12 @@
 // Streaming trace consumers: VCD edges and run metrics computed online.
 //
-// Both sinks hold per-entity cursor state plus the records of the current
-// instant only — never the trace — so they are O(entities) in memory for a
-// trace of any length. The one-instant holdback exists for two reasons:
-// zero-length busy windows (opened and closed at the same instant) must be
-// dropped exactly like Timeline::busy_intervals drops them, and the VM's
-// provisional horizon-pause kPreempt may be retracted before time advances.
+// Both sinks hold per-entity cursor state only — never the trace — so they
+// are O(entities) in memory for a trace of any length. Records arrive in
+// time order and are never taken back, so StreamingTraceMetrics folds each
+// one as it arrives. StreamingVcd alone holds the records of the current
+// instant: a busy window opened and closed at the same instant is zero
+// length, and must leave no edge, exactly as Timeline::busy_intervals drops
+// it.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +37,6 @@ class StreamingVcd final : public TraceSink {
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
   // Flushes the final instant. Call once, before header().
   TSF_DETERMINISM_CRITICAL
@@ -85,16 +84,12 @@ class StreamingTraceMetrics final : public TraceSink {
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
-  TSF_DETERMINISM_CRITICAL
-  bool retract(TimePoint at, TraceKind kind, std::string_view who) override;
 
-  // Folds the final instant into the aggregates. Call once, after the
-  // stream ends.
-  TSF_DETERMINISM_CRITICAL
-  void finish();
+  // A no-op: every record is folded as it arrives. Kept for callers that
+  // still end the stream with it.
+  void finish() {}
 
   std::uint64_t records() const { return records_; }
-  std::uint64_t retractions() const { return retractions_; }
   std::uint64_t kind_count(TraceKind kind) const {
     return kind_counts_[static_cast<std::size_t>(kind)];
   }
@@ -114,16 +109,10 @@ class StreamingTraceMetrics final : public TraceSink {
     std::int64_t begin = 0;
     std::deque<std::int64_t> outstanding_releases;
   };
-  struct Held {
-    TraceKind kind;
-    std::size_t entity;
-  };
 
   std::size_t intern(std::string_view who);
-  void flush();
 
   std::uint64_t records_ = 0;
-  std::uint64_t retractions_ = 0;
   std::uint64_t kind_counts_[kTraceKindCount] = {};
   std::int64_t first_ticks_ = 0;
   std::int64_t last_ticks_ = 0;
@@ -136,9 +125,6 @@ class StreamingTraceMetrics final : public TraceSink {
   // StreamingVcd::ids_ — aggregates and reports read `entities_` only.
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       ids_;
-  std::int64_t cur_at_ = 0;
-  bool have_instant_ = false;
-  std::vector<Held> held_;
 };
 
 }  // namespace tsf::common

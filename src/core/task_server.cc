@@ -16,11 +16,13 @@ TaskServer::TaskServer(rtsj::vm::VirtualMachine& machine,
   queue_ = PendingQueue::make(params_.queue_discipline(), params_.capacity(),
                               &arena_);
   remaining_ = params_.capacity();
-  batch_.reserve(static_cast<std::size_t>(params_.batch_limit()));
 }
 
 void TaskServer::reserve(std::size_t expected_requests) {
   outcomes_.reserve(expected_requests);
+  // A batch never holds more requests than the queue.
+  batch_.reserve(std::min(static_cast<std::size_t>(params_.batch_limit()),
+                          expected_requests));
 }
 
 void TaskServer::servable_event_released(

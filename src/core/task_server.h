@@ -146,10 +146,11 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   const rtsj::vm::VirtualMachine& machine() const { return vm_; }
 
  public:
-  // Pre-sizes the outcome ledgers for an expected request count so the
-  // steady-state serve loop never grows a vector mid-run (the zero-alloc
-  // contract the interposer test asserts). Optional; vectors still grow
-  // past the reservation as usual.
+  // Pre-sizes the outcome ledgers and the batch buffer (up to the batch
+  // limit) for an expected request count so the steady-state serve loop
+  // never grows a vector mid-run (the zero-alloc contract the interposer
+  // test asserts). Optional; vectors still grow past the reservation as
+  // usual.
   void reserve(std::size_t expected_requests);
 
  protected:

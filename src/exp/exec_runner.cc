@@ -362,6 +362,7 @@ void ExecSystem::start() {
 }
 
 model::RunResult ExecSystem::collect() {
+  vm_.end_trace();  // no-op when a multi-core driver already ended it
   // Collect outcomes in spec order; anything the server never saw (or that
   // has no server at all) counts as released-but-unserved. A job can have
   // several outcomes (a triggered job fired more than once), so group by

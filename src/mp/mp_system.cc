@@ -381,7 +381,6 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
       for (const auto& r : out.per_core[c].timeline.records()) {
         busy.record(r.at, r.kind, r.who, r.value, r.note);
       }
-      busy.finish();
       m.set_gauge("mp.core." + std::to_string(c) + ".utilization",
                   horizon_ticks > 0.0
                       ? static_cast<double>(busy.busy_ticks()) / horizon_ticks

@@ -106,6 +106,12 @@ void MultiVm::on_boundary() noexcept {
                           .count());
   }
 
+  // At the horizon the run is over: close each core's frozen fiber there
+  // first, so its kPreempt precedes whatever this boundary delivers.
+  if (now_ == horizon_) {
+    for (auto& vm : vms_) vm->end_trace();
+  }
+
   // Every core is paused at now_, the instant cross-core messages become
   // visible. Post the epoch's fires core by core, each outbox in its post
   // order: the lock-step order, on either stepper. Every append

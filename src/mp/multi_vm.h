@@ -113,8 +113,9 @@ class MultiVm {
   // Returns how many workers the platform pinned (none on hosts without
   // pthread_setaffinity_np).
   std::size_t step_threads();
-  // The boundary step of both steppers, run while every VM is paused:
-  // outbox posting, fabric drain, the BoundaryStages, epoch metrics.
+  // The boundary step of both steppers, run while every VM is paused: at
+  // the horizon, every VM's end_trace; then outbox posting, fabric drain,
+  // the BoundaryStages, epoch metrics.
   TSF_BARRIER_ONLY
   void on_boundary() noexcept;
 

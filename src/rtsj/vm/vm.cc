@@ -219,14 +219,6 @@ VirtualMachine::TimerHandle VirtualMachine::schedule_silent(
 void VirtualMachine::run_until(TimePoint horizon) {
   TSF_ASSERT(current_ == nullptr, "run_until called from inside a fiber");
   TSF_ASSERT(horizon >= now_, "horizon " << horizon << " is in the past");
-  if (frozen_ != nullptr && frozen_pause_recorded_) {
-    // The previous run_until provisionally closed the frozen fiber's trace
-    // in case it was the last one. It wasn't: retract the pause record so a
-    // seamless resume leaves no mark of the epoch boundary.
-    sink_->retract(now_, common::TraceKind::kPreempt, frozen_->label_);
-    frozen_->trace_open_ = true;
-    frozen_pause_recorded_ = false;
-  }
   horizon_ = horizon;
   for (;;) {
     maybe_rethrow();
@@ -246,14 +238,14 @@ void VirtualMachine::run_until(TimePoint horizon) {
     }
     advance_to(t);
   }
-  if (frozen_ != nullptr && frozen_->trace_open_) {
-    // Provisionally close the frozen fiber's busy interval at the horizon:
-    // if this was the final run_until, the trace must not end mid-interval
-    // (busy_intervals would drop it). A later run_until retracts this.
-    close_trace(frozen_);
-    frozen_pause_recorded_ = true;
-  }
   maybe_rethrow();
+}
+
+void VirtualMachine::end_trace() {
+  TSF_ASSERT(current_ == nullptr, "end_trace called from inside a fiber");
+  if (frozen_ == nullptr) return;
+  close_trace(frozen_);
+  frozen_ = nullptr;
 }
 
 void VirtualMachine::work(Duration d) {

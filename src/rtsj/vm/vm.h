@@ -159,6 +159,13 @@ class VirtualMachine {
   // where they were. Must be called from outside any fiber.
   void run_until(TimePoint horizon);
 
+  // Ends the trace of the run: closes the busy interval of the fiber the
+  // last run_until left frozen mid-work() with a kPreempt at now(), so the
+  // trace does not end mid-interval (busy_intervals would drop it). Call
+  // once the run is over, from outside any fiber; a second call records
+  // nothing. Should the world run on, the pause is then a real preemption.
+  void end_trace();
+
   // ---- calls made from inside fibers ----
 
   // Consume `d` units of CPU service. Yields to higher-priority fibers,
@@ -226,12 +233,10 @@ class VirtualMachine {
   // no context switch charged: resuming the world at the same instant is a
   // driver artifact, not a scheduling event, so a later run_until continues
   // it seamlessly (essential for lock-step multi-VM drivers, which pause
-  // every epoch). If another fiber is granted first, the pause retroactively
-  // becomes a real preemption (trace closed, switch charged as usual).
-  // run_until exit provisionally records the pause (so a final timeline
-  // never ends mid-interval); the next run_until retracts it.
+  // every epoch) and the trace shows no mark of the pause. If another fiber
+  // is granted first, or the driver calls end_trace(), the pause becomes a
+  // real preemption (trace closed; a later grant charges the switch).
   Fiber* frozen_ = nullptr;
-  bool frozen_pause_recorded_ = false;
   // The context of whoever drives the VM: run_until()'s caller, or the
   // destructor's. It moves with the VM between threads.
   std::unique_ptr<FiberContext> driver_;

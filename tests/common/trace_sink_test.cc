@@ -1,5 +1,5 @@
 // TeeSink fan-out and the streaming fingerprint's equivalence to
-// fingerprint(Timeline), including the VM's retract-at-current-instant path.
+// fingerprint(Timeline).
 #include "common/trace_sink.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@ TimePoint at(std::int64_t tu) {
   return TimePoint::origin() + Duration::time_units(tu);
 }
 
-TEST(TeeSink, FansOutRecordsAndRetractions) {
+TEST(TeeSink, FansOutRecords) {
   Timeline a, b;
   TeeSink tee;
   tee.add(&a);
@@ -21,9 +21,8 @@ TEST(TeeSink, FansOutRecordsAndRetractions) {
   tee.add(&b);
   tee.record(at(1), TraceKind::kRelease, "x", 7, "n");
   tee.record(at(2), TraceKind::kPreempt, "x");
-  EXPECT_TRUE(tee.retract(at(2), TraceKind::kPreempt, "x"));
   EXPECT_EQ(fingerprint(a), fingerprint(b));
-  ASSERT_EQ(a.records().size(), 1u);
+  ASSERT_EQ(a.records().size(), 2u);
   EXPECT_EQ(a.records()[0].note, "n");
 }
 
@@ -44,33 +43,11 @@ TEST(StreamingFingerprint, MatchesMaterializedFingerprint) {
   EXPECT_EQ(s.records(), t.records().size());
 }
 
-TEST(StreamingFingerprint, HonoursRetractionOfPendingInstant) {
-  // The VM's horizon-pause pattern: a provisional kPreempt at the current
-  // instant is retracted when the run resumes and re-recorded later.
-  Timeline t;
-  StreamingFingerprint s;
-  for (TraceSink* sink :
-       {static_cast<TraceSink*>(&t), static_cast<TraceSink*>(&s)}) {
-    sink->record(at(0), TraceKind::kResume, "task");
-    sink->record(at(4), TraceKind::kPreempt, "task");
-    EXPECT_TRUE(sink->retract(at(4), TraceKind::kPreempt, "task"));
-    sink->record(at(6), TraceKind::kPreempt, "task");
-  }
-  EXPECT_EQ(s.digest(), fingerprint(t));
-}
-
-TEST(StreamingFingerprint, RetractionOfFoldedInstantRefused) {
-  StreamingFingerprint s;
-  s.record(at(1), TraceKind::kRelease, "x");
-  s.record(at(5), TraceKind::kStart, "x");  // folds the at(1) instant
-  EXPECT_FALSE(s.retract(at(1), TraceKind::kRelease, "x"));
-}
-
 TEST(StreamingFingerprint, DigestIsIdempotentMidStream) {
   StreamingFingerprint s;
   s.record(at(1), TraceKind::kRelease, "x");
   const auto d1 = s.digest();
-  EXPECT_EQ(d1, s.digest());  // must not consume the pending instant
+  EXPECT_EQ(d1, s.digest());  // reading the digest changes nothing
   s.record(at(2), TraceKind::kComplete, "x");
   StreamingFingerprint fresh;
   fresh.record(at(1), TraceKind::kRelease, "x");

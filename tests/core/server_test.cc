@@ -11,6 +11,7 @@
 #include "core/polling_task_server.h"
 #include "core/servable_async_event.h"
 #include "core/sporadic_task_server.h"
+#include "exp/exec_runner.h"
 #include "rtsj/realtime_thread.h"
 #include "rtsj/timer.h"
 #include "rtsj/vm/vm.h"
@@ -347,6 +348,36 @@ TEST(TaskServerInterference, DeferrableIsBackToBack) {
   EXPECT_EQ(ds.interference(tu(5)), tu(8));  // back-to-back hit
   EXPECT_EQ(ds.interference(tu(10)), tu(8));
   EXPECT_EQ(ds.interference(tu(11)), tu(12));
+}
+
+// A batch never holds more requests than the queue, so a batch limit far
+// above the job count behaves like any limit at or above it — and reserves
+// no more than the spec's requests (2e9 requests would be ~48 GB).
+TEST(TaskServerBatch, HugeBatchLimitRunsLikeAnyLimitAboveTheBacklog) {
+  model::SystemSpec spec;
+  spec.name = "bulk";
+  spec.server.policy = model::ServerPolicy::kDeferrable;
+  spec.server.capacity = tu(4);
+  spec.server.period = tu(6);
+  spec.server.priority = 30;
+  for (int j = 0; j < 6; ++j) {
+    model::AperiodicJobSpec job;
+    job.name = "a" + std::to_string(j);
+    job.release = at_tu(j < 3 ? 1 : 7);  // two bursts
+    job.cost = Duration::from_tu(0.5);
+    spec.aperiodic_jobs.push_back(job);
+  }
+  spec.horizon = at_tu(20);
+
+  exp::ExecOptions options;
+  options.batch = 16;
+  const auto sixteen = exp::run_exec(spec, options);
+  options.batch = 2'000'000'000;
+  const auto huge = exp::run_exec(spec, options);
+  EXPECT_EQ(common::fingerprint(huge.timeline),
+            common::fingerprint(sixteen.timeline));
+  EXPECT_EQ(huge.server_dispatches, sixteen.server_dispatches);
+  EXPECT_LT(sixteen.server_dispatches, 6u) << "nothing was batched";
 }
 
 }  // namespace

@@ -169,6 +169,63 @@ TEST_P(MultiVmSteppers, FrozenFiberIntervalClosesAtFinalHorizon) {
   EXPECT_EQ(busy[0].end, at_tu(3));
 }
 
+// The run ends at the horizon boundary: each core's frozen fiber closes its
+// busy interval there before the boundary delivers anything. tau1 is
+// mid-work at 10, and ping's fire of triggered pong (posted at 9.5) is
+// delivered to core 1 by that final boundary.
+TEST_P(MultiVmSteppers, FrozenFiberClosesBeforeTheHorizonBoundaryDelivers) {
+  model::SystemSpec spec;
+  spec.name = "end";
+  spec.cores = 2;
+  spec.server.policy = model::ServerPolicy::kDeferrable;
+  spec.server.capacity = tu(2);
+  spec.server.period = tu(6);
+  spec.server.priority = 30;
+  for (const auto& [name, cost] :
+       {std::pair{"tau0", 1}, std::pair{"tau1", 50}}) {
+    model::PeriodicTaskSpec t;
+    t.name = name;
+    t.period = tu(100);
+    t.cost = tu(cost);
+    t.priority = 10;
+    t.affinity = static_cast<int>(spec.periodic_tasks.size());
+    spec.periodic_tasks.push_back(t);
+  }
+  model::AperiodicJobSpec ping;
+  ping.name = "ping";
+  ping.release = TimePoint::origin() + Duration::from_tu(8.5);
+  ping.cost = tu(1);
+  ping.affinity = 0;
+  ping.fires = "pong";
+  spec.aperiodic_jobs.push_back(ping);
+  model::AperiodicJobSpec pong;
+  pong.name = "pong";
+  pong.cost = tu(1);
+  pong.affinity = 1;
+  pong.triggered = true;
+  spec.aperiodic_jobs.push_back(pong);
+  spec.horizon = at_tu(10);
+
+  MpRunOptions options;
+  options.strategy = PackingStrategy::kWorstFitDecreasing;
+  options.quantum = tu(1);
+  options.backend = GetParam();
+  const auto run = mp::run(spec, options);
+
+  const auto& records = run.per_core[1].timeline.records();
+  const std::vector<std::string> want = {"preempt tau1", "fire pong.e",
+                                         "release pong", "fire server.wakeUp"};
+  ASSERT_GE(records.size(), want.size());
+  const std::size_t first = records.size() - want.size();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& r = records[first + i];
+    EXPECT_EQ(r.at, at_tu(10)) << i;
+    EXPECT_EQ(std::string(common::to_string(r.kind)) + " " + r.who, want[i]);
+  }
+  // tsf_run prints the same fingerprint for this spec on both backends.
+  EXPECT_EQ(common::fingerprint(run.merged.timeline), 0x199d0a9b19153cd2u);
+}
+
 // Throws from the first handler completion core 1 records after t = 5. A
 // completion is a stepping-phase record (the server's fiber emits it
 // mid-epoch); a throw from a boundary-phase record would hit the barrier's
@@ -181,9 +238,6 @@ class FailingSink final : public common::TraceSink {
       threw = true;
       throw std::runtime_error("core 1 failed");
     }
-  }
-  bool retract(TimePoint, common::TraceKind, std::string_view) override {
-    return false;
   }
   bool threw = false;
 };

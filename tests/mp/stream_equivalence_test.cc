@@ -1,9 +1,9 @@
 // Streaming consumers attached to the per-core record streams must observe
-// exactly the trace the engines materialize. The lock-step VMs retract a
-// provisional horizon-pause record at every epoch boundary, so these suites
-// exercise the retraction path continuously — across the partitioned
-// baseline with channel traffic, the global pool, semi-partitioned
-// stealing, and the online rebalancer.
+// exactly the trace the engines materialize. The lock-step VMs pause a
+// running fiber at every epoch boundary without a record and close it once,
+// when the run ends, so both paths see one append-only stream — checked
+// across the partitioned baseline with channel traffic, the global pool,
+// semi-partitioned stealing, and the online rebalancer.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -114,7 +114,6 @@ TEST(StreamEquivalence, StreamingMetricsAgreeWithBusyIntervals) {
   common::StreamingTraceMetrics metrics;
   options.core_trace_sinks.push_back(&metrics);
   const auto run = mp::run(spec, options);
-  metrics.finish();
 
   const auto& timeline = run.per_core[0].timeline;
   std::int64_t busy = 0;

@@ -367,6 +367,48 @@ TEST(VmHorizon, RunUntilFreezesMidWorkAndResumes) {
   EXPECT_TRUE(f->finished());
 }
 
+// The trace is append-only: a horizon pause records nothing, and
+// end_trace() closes the frozen fiber's interval there exactly once.
+TEST(VmHorizon, PauseRecordsNothingUntilEndTrace) {
+  VirtualMachine m;
+  Fiber* f = m.create_fiber("w", 10, [&] { m.work(tu(10)); });
+  m.start_fiber(f);
+  m.run_until(at_tu(4));
+  const auto& records = m.timeline().records();
+  ASSERT_FALSE(records.empty());
+  EXPECT_LT(records.back().at, at_tu(4)) << "the pause left a record";
+  const std::size_t before = records.size();
+
+  m.end_trace();
+  ASSERT_EQ(records.size(), before + 1);
+  EXPECT_EQ(records.back().at, at_tu(4));
+  EXPECT_EQ(records.back().kind, common::TraceKind::kPreempt);
+  EXPECT_EQ(records.back().who, "w");
+  m.end_trace();
+  EXPECT_EQ(records.size(), before + 1);
+  EXPECT_EQ(m.timeline().busy_intervals("w"),
+            (std::vector<Interval>{{at_tu(0), at_tu(4)}}));
+
+  // Should the world run on, the pause was a real preemption.
+  m.run_until(at_tu(50));
+  EXPECT_TRUE(f->finished());
+  EXPECT_EQ(m.timeline().busy_intervals("w"),
+            (std::vector<Interval>{{at_tu(0), at_tu(4)},
+                                   {at_tu(4), at_tu(10)}}));
+}
+
+TEST(VmHorizon, PausesLeaveNoMarkInTheTrace) {
+  const auto run = [](const std::vector<std::int64_t>& horizons) {
+    VirtualMachine m;
+    Fiber* f = m.create_fiber("w", 10, [&] { m.work(tu(10)); });
+    m.start_fiber(f);
+    for (const std::int64_t h : horizons) m.run_until(at_tu(h));
+    EXPECT_TRUE(f->finished());
+    return common::fingerprint(m.timeline());
+  };
+  EXPECT_EQ(run({4, 6, 50}), run({50}));
+}
+
 TEST(VmHorizon, IdleAdvancesToHorizon) {
   VirtualMachine m;
   m.run_until(at_tu(42));

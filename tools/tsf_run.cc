@@ -5,9 +5,10 @@
 //                  [--backend lockstep|threads] [--batch N] [--no-gantt]
 //                  [--vcd FILE] [--trace FILE] [--metrics-json FILE]
 // See examples/specs/ for spec files and src/cli/spec_file.h for the format.
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <iostream>
+#include <string_view>
 
 #include "cli/report.h"
 #include "cli/spec_file.h"
@@ -41,8 +42,13 @@ int main(int argc, char** argv) {
       }
       outcome.config.backend = *backend;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      const int batch = std::atoi(argv[++i]);
-      if (batch < 1) {
+      // Digits only, within int: from_chars takes no '+' or space, a '-'
+      // leaves batch < 1, and "3x" stops short of the end.
+      const std::string_view text = argv[++i];
+      int batch = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), batch);
+      if (ec != std::errc{} || end != text.data() + text.size() || batch < 1) {
         std::cerr << "--batch needs a positive count, got '" << argv[i]
                   << "'\n";
         return 2;
