@@ -15,17 +15,24 @@
 //
 //   bench_trace_stream [--count N] [--entities M] [--out FILE]
 //                      [--rss-limit-mb N] [--json FILE]
+//
+// --count and --entities take digits only, at least 1; --rss-limit-mb a
+// finite number >= 0 (0: no limit). Anything else exits 2.
 #include <sys/resource.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json_writer.h"
@@ -66,6 +73,19 @@ void generate(common::TraceSink* sink, std::uint64_t jobs,
   }
 }
 
+// Digits only, into uint64, at least 1: from_chars takes no sign or space,
+// and "3x" stops short of the end. Anything else exits 2 naming the flag.
+std::uint64_t positive_count(const char* flag, std::string_view text) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() || value < 1) {
+    std::cerr << flag << " needs a positive count, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 double max_rss_mb() {
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -89,13 +109,22 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--count") == 0) {
-      count = std::strtoull(next("--count"), nullptr, 10);
+      count = positive_count("--count", next("--count"));
     } else if (std::strcmp(argv[i], "--entities") == 0) {
-      entities = std::strtoull(next("--entities"), nullptr, 10);
+      entities = positive_count("--entities", next("--entities"));
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = next("--out");
     } else if (std::strcmp(argv[i], "--rss-limit-mb") == 0) {
-      rss_limit_mb = std::strtod(next("--rss-limit-mb"), nullptr);
+      const std::string_view text = next("--rss-limit-mb");
+      const auto [end, ec] = std::from_chars(
+          text.data(), text.data() + text.size(), rss_limit_mb);
+      // `!(x >= 0)` also rejects NaN.
+      if (ec != std::errc{} || end != text.data() + text.size() ||
+          !std::isfinite(rss_limit_mb) || !(rss_limit_mb >= 0.0)) {
+        std::cerr << "--rss-limit-mb needs a finite number >= 0, got '"
+                  << text << "'\n";
+        return 2;
+      }
     } else if (!cli.consume(argc, argv, &i)) {
       return cli.fail("bench_trace_stream",
                       " [--count N] [--entities M] [--out FILE]"
@@ -103,10 +132,6 @@ int main(int argc, char** argv) {
     }
   }
   const std::string& json_path = cli.json_path;
-  if (count == 0 || entities == 0) {
-    std::cerr << "--count and --entities must be positive\n";
-    return 2;
-  }
 
   std::vector<std::string> names;
   names.reserve(entities);

@@ -64,23 +64,13 @@ std::vector<Interval> Timeline::busy_intervals(const std::string& who) const {
   TimePoint begin;
   for (const auto& r : records_) {
     if (r.who != who) continue;
-    switch (r.kind) {
-      case TraceKind::kStart:
-      case TraceKind::kResume:
-        TSF_ASSERT(!open, "entity " << who << " started twice at " << r.at);
-        open = true;
-        begin = r.at;
-        break;
-      case TraceKind::kPreempt:
-      case TraceKind::kComplete:
-      case TraceKind::kAbort:
-        if (open) {
-          open = false;
-          if (r.at > begin) out.push_back(Interval{begin, r.at});
-        }
-        break;
-      default:
-        break;
+    if (opens_interval(r.kind)) {
+      TSF_ASSERT(!open, "entity " << who << " started twice at " << r.at);
+      open = true;
+      begin = r.at;
+    } else if (closes_interval(r.kind) && open) {
+      open = false;
+      if (r.at > begin) out.push_back(Interval{begin, r.at});
     }
   }
   return out;

@@ -47,6 +47,16 @@ enum class TraceKind {
 inline constexpr std::size_t kTraceKindCount =
     static_cast<std::size_t>(TraceKind::kShed) + 1;
 
+// The one rule for which kinds open and close an entity's busy window,
+// shared by Timeline::busy_intervals, the streaming sinks and read_trace.
+inline bool opens_interval(TraceKind kind) {
+  return kind == TraceKind::kStart || kind == TraceKind::kResume;
+}
+inline bool closes_interval(TraceKind kind) {
+  return kind == TraceKind::kPreempt || kind == TraceKind::kComplete ||
+         kind == TraceKind::kAbort;
+}
+
 const char* to_string(TraceKind kind);
 
 // Inverse of to_string; returns false on an unknown kind name.

@@ -190,14 +190,13 @@ bool read_trace(std::istream& in, TraceSink* sink, std::string* error) {
       return bad("its tick reaches 2^60 (Duration::infinite())");
     }
     last_ticks += step;
-    if (k == TraceKind::kStart || k == TraceKind::kResume) {
+    if (opens_interval(k)) {
       if (open[id]) {
         return bad("its busy interval is already open at tick " +
                    std::to_string(last_ticks));
       }
       open[id] = true;
-    } else if (k == TraceKind::kPreempt || k == TraceKind::kComplete ||
-               k == TraceKind::kAbort) {
+    } else if (closes_interval(k)) {
       open[id] = false;
     }
     sink->record(TimePoint::at_ticks(last_ticks), k, entities[id],

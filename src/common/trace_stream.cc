@@ -9,27 +9,6 @@
 
 namespace tsf::common {
 
-namespace {
-
-bool affects_interval(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kStart:
-    case TraceKind::kResume:
-    case TraceKind::kPreempt:
-    case TraceKind::kComplete:
-    case TraceKind::kAbort:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool opens_interval(TraceKind kind) {
-  return kind == TraceKind::kStart || kind == TraceKind::kResume;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // StreamingVcd
 
@@ -55,7 +34,9 @@ void StreamingVcd::record(TimePoint at, TraceKind kind, std::string_view who,
   }
   cur_at_ = at.ticks();
   have_instant_ = true;
-  if (affects_interval(kind)) held_.push_back(Held{kind, id});
+  if (opens_interval(kind) || closes_interval(kind)) {
+    held_.push_back(Held{kind, id});
+  }
 }
 
 void StreamingVcd::flush() {
@@ -170,23 +151,13 @@ void StreamingTraceMetrics::record(TimePoint at, TraceKind kind,
     first_ticks_ = now;
   }
   last_ticks_ = now;
-  switch (kind) {
-    case TraceKind::kStart:
-    case TraceKind::kResume:
-      TSF_ASSERT(!e.open, "entity " << e.name << " started twice at " << now);
-      e.open = true;
-      e.begin = now;
-      break;
-    case TraceKind::kPreempt:
-    case TraceKind::kComplete:
-    case TraceKind::kAbort:
-      if (e.open) {
-        e.open = false;
-        busy_ticks_ += now - e.begin;
-      }
-      break;
-    default:
-      break;
+  if (opens_interval(kind)) {
+    TSF_ASSERT(!e.open, "entity " << e.name << " started twice at " << now);
+    e.open = true;
+    e.begin = now;
+  } else if (closes_interval(kind) && e.open) {
+    e.open = false;
+    busy_ticks_ += now - e.begin;
   }
   if (kind == TraceKind::kRelease) {
     e.outstanding_releases.push_back(now);

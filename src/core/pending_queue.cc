@@ -1,7 +1,5 @@
 #include "core/pending_queue.h"
 
-#include <algorithm>
-
 #include "common/diag.h"
 #include "core/servable_async_event_handler.h"
 
@@ -12,74 +10,76 @@ rtsj::RelativeTime declared(const Request& r) {
   return r.handler->cost();
 }
 
-// Shared take pass over one deque: moves the accepted requests to `out`
-// and closes the gaps behind them, in one in-order sweep. Returns the
-// declared cost taken (the list-of-lists buckets account it).
-rtsj::RelativeTime take_from(RequestDeque& q, const TakeFn& pred,
-                             std::vector<Request>* out) {
+// Shared take pass over q[from, to): moves the accepted requests to `out`
+// and slides the rest down to q[*kept...] in order, in one sweep. Returns
+// the declared cost taken (the list-of-lists buckets account it).
+rtsj::RelativeTime take_range(Ring<Request>& q, std::size_t from,
+                              std::size_t to, std::size_t* kept,
+                              const TakeFn& pred, std::vector<Request>* out) {
   rtsj::RelativeTime taken = rtsj::RelativeTime::zero();
-  auto kept = q.begin();
-  for (auto it = q.begin(); it != q.end(); ++it) {
-    if (pred(*it)) {
-      taken += declared(*it);
-      out->push_back(std::move(*it));
+  for (std::size_t i = from; i < to; ++i) {
+    if (pred(q[i])) {
+      taken += declared(q[i]);
+      out->push_back(std::move(q[i]));
     } else {
-      if (kept != it) *kept = std::move(*it);
-      ++kept;
+      if (*kept != i) q[*kept] = std::move(q[i]);
+      ++*kept;
     }
   }
-  q.erase(kept, q.end());
   return taken;
+}
+
+void take_all(Ring<Request>& q, const TakeFn& pred,
+              std::vector<Request>* out) {
+  std::size_t kept = 0;
+  take_range(q, 0, q.size(), &kept, pred, out);
+  q.truncate(kept);
+}
+
+void append_to(std::vector<Request>* out, const Ring<Request>& q) {
+  for (std::size_t i = 0; i < q.size(); ++i) out->push_back(q[i]);
 }
 }  // namespace
 
 std::unique_ptr<PendingQueue> PendingQueue::make(
-    model::QueueDiscipline discipline, rtsj::RelativeTime capacity,
-    common::Arena* arena) {
+    model::QueueDiscipline discipline, rtsj::RelativeTime capacity) {
   switch (discipline) {
     case model::QueueDiscipline::kStrictFifo:
-      return std::make_unique<FifoQueue>(/*first_fit=*/false, arena);
+      return std::make_unique<FifoQueue>(/*first_fit=*/false);
     case model::QueueDiscipline::kFifoFirstFit:
-      return std::make_unique<FifoQueue>(/*first_fit=*/true, arena);
+      return std::make_unique<FifoQueue>(/*first_fit=*/true);
     case model::QueueDiscipline::kListOfLists:
-      return std::make_unique<ListOfListsQueue>(capacity, arena);
+      return std::make_unique<ListOfListsQueue>(capacity);
   }
   TSF_PANIC("unknown queue discipline");
 }
 
 std::optional<Request> FifoQueue::pop_fitting(const FitsFn& fits) {
   // Strict FIFO only ever looks at the head.
-  const auto last = first_fit_ || q_.empty() ? q_.end() : q_.begin() + 1;
-  for (auto it = q_.begin(); it != last; ++it) {
-    if (fits(declared(*it))) {
-      Request r = std::move(*it);
-      q_.erase(it);
-      return r;
-    }
+  const std::size_t last = first_fit_ || q_.empty() ? q_.size() : 1;
+  for (std::size_t i = 0; i < last; ++i) {
+    if (fits(declared(q_[i]))) return q_.remove(i);
   }
   return std::nullopt;
 }
 
 std::vector<Request> FifoQueue::drain() {
-  std::vector<Request> out(q_.begin(), q_.end());
+  std::vector<Request> out;
+  append_to(&out, q_);
   q_.clear();
   return out;
 }
 
 void FifoQueue::take(const TakeFn& pred, std::vector<Request>* out) {
-  take_from(q_, pred, out);
+  take_all(q_, pred, out);
 }
 
 void FifoQueue::visit(const VisitFn& fn) const {
-  for (const auto& r : q_) fn(r);
+  for (std::size_t i = 0; i < q_.size(); ++i) fn(q_[i]);
 }
 
-ListOfListsQueue::ListOfListsQueue(rtsj::RelativeTime capacity,
-                                   common::Arena* arena)
-    : capacity_(capacity),
-      alloc_(arena),
-      active_(alloc_),
-      buckets_(common::ArenaAllocator<Bucket>(arena)) {
+ListOfListsQueue::ListOfListsQueue(rtsj::RelativeTime capacity)
+    : capacity_(capacity) {
   TSF_ASSERT(capacity_ > rtsj::RelativeTime::zero(),
              "list-of-lists queue needs a positive capacity");
 }
@@ -93,10 +93,11 @@ void ListOfListsQueue::append(Request r) {
     return;
   }
   if (buckets_.empty() || buckets_.back().load + c > capacity_) {
-    buckets_.emplace_back(alloc_);
+    buckets_.push_back(Bucket{});
   }
+  ++buckets_.back().count;
   buckets_.back().load += c;
-  buckets_.back().items.push_back(std::move(r));
+  future_.push_back(std::move(r));
 }
 
 void ListOfListsQueue::push(Request r) { append(std::move(r)); }
@@ -109,60 +110,62 @@ void ListOfListsQueue::requeue(Request r) {
 }
 
 std::optional<Request> ListOfListsQueue::pop_fitting(const FitsFn& fits) {
-  if (active_.empty() || !fits(declared(active_.front()))) return std::nullopt;
-  Request r = std::move(active_.front());
-  active_.pop_front();
-  return r;
+  if (active_.empty() || !fits(declared(active_[0]))) return std::nullopt;
+  return active_.remove(0);
 }
 
 bool ListOfListsQueue::empty() const {
   // Unservable requests are deliberately excluded: they must not make an
   // event-driven server wake up for work it can never dispatch.
-  return active_.empty() && buckets_.empty();
+  return active_.empty() && future_.empty();
 }
 
 std::size_t ListOfListsQueue::size() const {
-  std::size_t n = active_.size() + unservable_.size();
-  for (const auto& b : buckets_) n += b.items.size();
-  return n;
+  return active_.size() + future_.size() + unservable_.size();
 }
 
 std::vector<Request> ListOfListsQueue::drain() {
-  std::vector<Request> out(active_.begin(), active_.end());
-  active_.clear();
-  for (auto& b : buckets_) {
-    out.insert(out.end(), b.items.begin(), b.items.end());
-  }
-  buckets_.clear();
+  std::vector<Request> out;
+  append_to(&out, active_);
+  append_to(&out, future_);
   out.insert(out.end(), unservable_.begin(), unservable_.end());
+  active_.clear();
+  future_.clear();
+  buckets_.clear();
   unservable_.clear();
   return out;
 }
 
 void ListOfListsQueue::take(const TakeFn& pred, std::vector<Request>* out) {
-  take_from(active_, pred, out);
-  for (auto bucket = buckets_.begin(); bucket != buckets_.end();) {
-    bucket->load -= take_from(bucket->items, pred, out);
-    bucket = bucket->items.empty() ? buckets_.erase(bucket) : bucket + 1;
+  take_all(active_, pred, out);
+  std::size_t from = 0;
+  std::size_t kept = 0;
+  std::size_t kept_buckets = 0;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    Bucket bucket = buckets_[b];
+    const std::size_t bucket_start = kept;
+    bucket.load -= take_range(future_, from, from + bucket.count, &kept,
+                              pred, out);
+    from += bucket.count;
+    bucket.count = kept - bucket_start;
+    if (bucket.count > 0) buckets_[kept_buckets++] = bucket;
   }
+  future_.truncate(kept);
+  buckets_.truncate(kept_buckets);
 }
 
 void ListOfListsQueue::visit(const VisitFn& fn) const {
-  for (const auto& r : active_) fn(r);
-  for (const auto& bucket : buckets_) {
-    for (const auto& r : bucket.items) fn(r);
-  }
+  for (std::size_t i = 0; i < active_.size(); ++i) fn(active_[i]);
+  for (std::size_t i = 0; i < future_.size(); ++i) fn(future_[i]);
 }
 
 void ListOfListsQueue::begin_instance() {
   // Leftovers of the previous instance (possible only under overhead or
   // under-declared costs) are re-registered like fresh releases.
-  RequestDeque leftovers(alloc_);
-  leftovers.swap(active_);
-  for (auto& r : leftovers) append(std::move(r));
-  if (!buckets_.empty()) {
-    active_ = std::move(buckets_.front().items);
-    buckets_.pop_front();
+  while (!active_.empty()) append(active_.remove(0));
+  if (buckets_.empty()) return;
+  for (std::size_t n = buckets_.remove(0).count; n > 0; --n) {
+    active_.push_back(future_.remove(0));
   }
 }
 

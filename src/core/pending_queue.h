@@ -9,13 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/arena.h"
 #include "common/function_ref.h"
 #include "model/spec.h"
 #include "rtsj/time.h"
@@ -43,19 +42,72 @@ using FitsFn = common::FunctionRef<bool(rtsj::RelativeTime declared_cost)>;
 using TakeFn = common::FunctionRef<bool(const Request&)>;
 using VisitFn = common::FunctionRef<void(const Request&)>;
 
-// The request containers: deque chunks come from the owning server's arena
-// (freelist-recycled, so steady-state push/pop touches no heap); with a
-// null arena they fall back to the global heap.
-using RequestDeque = std::deque<Request, common::ArenaAllocator<Request>>;
+// A queue over one power-of-two circular buffer: O(1) at both ends,
+// indexed in queue order. It doubles when full and never shrinks, so a queue
+// allocates only when it reaches a depth it never held before — the
+// steady-state serve loop stays off the heap once the backlog's high-water
+// mark has been seen.
+template <typename T>
+class Ring {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask()]; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask()];
+  }
+  T& back() { return (*this)[size_ - 1]; }
+  const T& back() const { return (*this)[size_ - 1]; }
+
+  void push_back(T value) {
+    if (size_ == slots_.size()) grow();
+    (*this)[size_++] = std::move(value);
+  }
+  void push_front(T value) {
+    if (size_ == slots_.size()) grow();
+    head_ = (head_ + mask()) & mask();
+    ++size_;
+    (*this)[0] = std::move(value);
+  }
+  // Removes and returns the i-th element; the elements on its shorter side
+  // move one slot to close the gap.
+  T remove(std::size_t i) {
+    T out = std::move((*this)[i]);
+    if (i < size_ / 2) {
+      for (; i > 0; --i) (*this)[i] = std::move((*this)[i - 1]);
+      head_ = (head_ + 1) & mask();
+    } else {
+      for (; i + 1 < size_; ++i) (*this)[i] = std::move((*this)[i + 1]);
+    }
+    --size_;
+    return out;
+  }
+  // Keeps the first n elements.
+  void truncate(std::size_t n) { size_ = n; }
+  void clear() { head_ = size_ = 0; }
+
+ private:
+  std::size_t mask() const { return slots_.size() - 1; }
+  void grow() {
+    std::vector<T> next(slots_.empty() ? 8 : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
+    slots_.swap(next);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 class PendingQueue {
  public:
   virtual ~PendingQueue() = default;
 
   // push / requeue / pop_fitting / begin_instance run inside the serve
-  // loop (every release, every activation): TSF_REALTIME — arena-backed
-  // storage keeps the steady state off the heap. drain / take only run at
-  // epoch boundaries or end-of-run: TSF_BARRIER_ONLY.
+  // loop (every release, every activation): TSF_REALTIME — ring storage
+  // keeps the steady state off the heap. drain / take only run at epoch
+  // boundaries or end-of-run: TSF_BARRIER_ONLY.
   TSF_REALTIME
   virtual void push(Request r) = 0;
   // Returns a popped-but-unserved request to the *front* of the service
@@ -96,11 +148,8 @@ class PendingQueue {
   TSF_REALTIME
   virtual void begin_instance() {}
 
-  // `arena`, when non-null, backs the queue's request storage (one arena
-  // per owning server; the queue must not outlive it).
   static std::unique_ptr<PendingQueue> make(model::QueueDiscipline discipline,
-                                            rtsj::RelativeTime capacity,
-                                            common::Arena* arena = nullptr);
+                                            rtsj::RelativeTime capacity);
 };
 
 // Release order, in one of two flavours that differ only in pop_fitting:
@@ -109,8 +158,7 @@ class PendingQueue {
 // request in release order that fits.
 class FifoQueue : public PendingQueue {
  public:
-  explicit FifoQueue(bool first_fit, common::Arena* arena = nullptr)
-      : q_(common::ArenaAllocator<Request>(arena)), first_fit_(first_fit) {}
+  explicit FifoQueue(bool first_fit) : first_fit_(first_fit) {}
   TSF_REALTIME
   void push(Request r) override { q_.push_back(std::move(r)); }
   TSF_REALTIME
@@ -126,7 +174,7 @@ class FifoQueue : public PendingQueue {
   void visit(const VisitFn& fn) const override;
 
  private:
-  RequestDeque q_;
+  Ring<Request> q_;
   bool first_fit_;
 };
 
@@ -140,8 +188,7 @@ class FifoQueue : public PendingQueue {
 // equation (5) (see ResponseTimePredictor).
 class ListOfListsQueue : public PendingQueue {
  public:
-  explicit ListOfListsQueue(rtsj::RelativeTime capacity,
-                            common::Arena* arena = nullptr);
+  explicit ListOfListsQueue(rtsj::RelativeTime capacity);
 
   TSF_REALTIME
   void push(Request r) override;
@@ -165,7 +212,7 @@ class ListOfListsQueue : public PendingQueue {
   // skipped (they are outside take's reach too).
   void visit(const VisitFn& fn) const override;
   // Rotates: unserved leftovers of the active list are re-registered, then
-  // the first future bucket becomes the active list.
+  // the first future bucket's requests move to the active list.
   TSF_REALTIME
   void begin_instance() override;
 
@@ -181,21 +228,20 @@ class ListOfListsQueue : public PendingQueue {
   std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
+  // One future instance: the next `count` requests of future_.
   struct Bucket {
-    RequestDeque items;
+    std::size_t count = 0;
     rtsj::RelativeTime load = rtsj::RelativeTime::zero();
-    explicit Bucket(common::ArenaAllocator<Request> alloc)
-        : items(std::move(alloc)) {}
   };
 
   void append(Request r);
 
   rtsj::RelativeTime capacity_;
-  common::ArenaAllocator<Request> alloc_;
-  RequestDeque active_;  // the instance currently being served
-  // Future instances, in order (the buckets' own deque chunks come from
-  // the same arena as their items).
-  std::deque<Bucket, common::ArenaAllocator<Bucket>> buckets_;
+  Ring<Request> active_;  // the instance currently being served
+  // Every future instance's requests, back to back in instance order, and
+  // the instances themselves.
+  Ring<Request> future_;
+  Ring<Bucket> buckets_;
   // Requests whose declared cost exceeds the capacity violate the
   // framework's §4 constraint and can never be served; they are parked here
   // (reported by size()/drain()) instead of wasting a whole instance.

@@ -11,6 +11,7 @@ SporadicTaskServer::SporadicTaskServer(rtsj::vm::VirtualMachine& machine,
           rtsj::PriorityParameters(priority()),
           [this](rtsj::AsyncEventHandler&) { serve(); }) {
   wake_up_.add_handler(&wake_handler_);
+  params_.set_batch_limit(1);  // one request per burst, see serve()
 }
 
 void SporadicTaskServer::start() {
@@ -29,16 +30,18 @@ void SporadicTaskServer::serve() {
   // No batching here: SS replenishment is per-dispatch (the consumed amount
   // returns one period after each burst began), so grouping dispatches
   // would change the replenishment schedule itself — batch_limit is
-  // documented as inapplicable to the sporadic policy.
-  for (;;) {
-    const auto fits = [this](rtsj::RelativeTime cost) {
-      return cost + params_.admission_margin() <= remaining_;
-    };
-    auto request = queue_->pop_fitting(fits);
-    if (!request) break;
-
+  // documented as inapplicable to the sporadic policy. Every burst is one
+  // request: the batch limit is pinned to 1 and the follower rule admits
+  // none.
+  const auto fits = [this](rtsj::RelativeTime cost) {
+    return cost + params_.admission_margin() <= remaining_;
+  };
+  const auto no_followers = [](rtsj::RelativeTime, rtsj::RelativeTime) {
+    return false;
+  };
+  while (collect_batch(fits, no_followers) != 0) {
     const rtsj::AbsoluteTime t0 = vm_.now();
-    const DispatchResult r = dispatch(*request, remaining_);
+    const DispatchResult r = dispatch_batch(1, remaining_);
     const rtsj::RelativeTime consumed = common::min(r.elapsed, remaining_);
     remaining_ -= consumed;
     vm_.trace().record(vm_.now(), common::TraceKind::kCapacity,

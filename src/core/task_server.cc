@@ -13,8 +13,7 @@ TaskServer::TaskServer(rtsj::vm::VirtualMachine& machine,
              "server " << params_.name() << " needs a positive capacity");
   TSF_ASSERT(params_.period() >= params_.capacity(),
              "server " << params_.name() << " capacity exceeds its period");
-  queue_ = PendingQueue::make(params_.queue_discipline(), params_.capacity(),
-                              &arena_);
+  queue_ = PendingQueue::make(params_.queue_discipline(), params_.capacity());
   remaining_ = params_.capacity();
 }
 
@@ -132,54 +131,6 @@ std::size_t TaskServer::shed_pending(
   return taken.size();
 }
 
-TaskServer::DispatchResult TaskServer::dispatch(const Request& request,
-                                                rtsj::RelativeTime budget) {
-  ++dispatches_;
-  if (!params_.dispatch_overhead().is_zero()) {
-    vm_.work(params_.dispatch_overhead());
-  }
-  // Attribute the service window to the handler so traces and figures show
-  // h1/h2 execution the way the paper draws them.
-  vm_.set_label(request.handler->name());
-  const rtsj::AbsoluteTime t0 = vm_.now();
-
-  rtsj::Timed timed(vm_, budget);
-  rtsj::InterruptibleFn body(
-      [&](rtsj::Timed& t) { request.handler->run_logic(t); });
-  const bool completed = timed.do_interruptible(body);
-
-  const rtsj::AbsoluteTime t1 = vm_.now();
-  vm_.set_label(params_.name());
-
-  model::JobOutcome out;
-  out.name = request.handler->name();
-  out.release = request.release;
-  out.cost = request.handler->cost();
-  out.start = t0;
-  // Completion records carry the release instant so the invariant checker
-  // can match a dispatch back to the exact (job, release) it served. Both
-  // land after set_label restored the server label, so busy_intervals sees
-  // the job's window already closed and ignores them.
-  if (completed) {
-    out.served = true;
-    out.completion = t1;
-    ++served_;
-    vm_.trace().record(t1, common::TraceKind::kComplete,
-                       request.handler->name(), request.release.ticks());
-  } else {
-    out.interrupted = true;
-    ++interrupted_;
-    vm_.trace().record(t1, common::TraceKind::kAbort,
-                       request.handler->name(), request.release.ticks());
-  }
-  outcomes_.push_back(out);
-
-  DispatchResult result;
-  result.elapsed = t1 - t0;
-  result.served = completed;
-  return result;
-}
-
 std::size_t TaskServer::collect_batch(const FitsFn& head_fits,
                                       const BatchFitsFn& follow_fits) {
   batch_.clear();
@@ -204,26 +155,29 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
   TSF_ASSERT(count >= 1 && count <= batch_.size(),
              "dispatch_batch of " << count << " with " << batch_.size()
                                   << " collected");
-  // One collected request is exactly the classic path — same call sequence,
-  // same trace, so batch = 1 keeps today's fingerprints bit-for-bit.
-  if (count == 1) return dispatch(batch_[0], budget);
-
   ++dispatches_;
   if (!params_.dispatch_overhead().is_zero()) {
     vm_.work(params_.dispatch_overhead());
   }
   const rtsj::AbsoluteTime batch_t0 = vm_.now();
-  std::size_t started = 0;    // members whose label window opened
-  std::size_t completed = 0;  // members whose body ran to the end
-  rtsj::AbsoluteTime member_t0 = batch_t0;
+  // The section reaches its progress through one pointer, so the closure
+  // fits std::function's inline buffer and a burst allocates nothing.
+  struct Progress {
+    std::size_t count;
+    std::size_t started;    // members whose label window opened
+    std::size_t completed;  // members whose body ran to the end
+    rtsj::AbsoluteTime member_t0;
+  } progress{count, 0, 0, batch_t0};
 
   rtsj::Timed timed(vm_, budget);
-  rtsj::InterruptibleFn body([&](rtsj::Timed& t) {
-    for (std::size_t i = 0; i < count; ++i) {
+  rtsj::InterruptibleFn body([this, &progress](rtsj::Timed& t) {
+    for (std::size_t i = 0; i < progress.count; ++i) {
       const Request& r = batch_[i];
+      // The member's service window carries the handler's label, the way
+      // the paper draws h1/h2 execution.
       vm_.set_label(r.handler->name());
-      member_t0 = vm_.now();
-      started = i + 1;
+      progress.member_t0 = vm_.now();
+      progress.started = i + 1;
       r.handler->run_logic(t);
       const rtsj::AbsoluteTime t1 = vm_.now();
       vm_.set_label(params_.name());
@@ -231,16 +185,16 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
       out.name = r.handler->name();
       out.release = r.release;
       out.cost = r.handler->cost();
-      out.start = member_t0;
+      out.start = progress.member_t0;
       out.served = true;
       out.completion = t1;
       ++served_;
-      // At the member's true instant, after its label window closed — the
-      // same ordering dispatch() produces.
+      // At the member's true instant, after its label window closed; the
+      // release instant lets the invariant checker match it to its job.
       vm_.trace().record(t1, common::TraceKind::kComplete,
                          r.handler->name(), r.release.ticks());
       outcomes_.push_back(std::move(out));
-      completed = i + 1;
+      progress.completed = i + 1;
     }
   });
   const bool all = timed.do_interruptible(body);
@@ -249,13 +203,14 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
 
   if (!all) {
     // The member that was running when the budget expired.
-    TSF_ASSERT(started == completed + 1, "interrupted batch bookkeeping");
-    const Request& r = batch_[completed];
+    TSF_ASSERT(progress.started == progress.completed + 1,
+               "interrupted batch bookkeeping");
+    const Request& r = batch_[progress.completed];
     model::JobOutcome out;
     out.name = r.handler->name();
     out.release = r.release;
     out.cost = r.handler->cost();
-    out.start = member_t0;
+    out.start = progress.member_t0;
     out.interrupted = true;
     ++interrupted_;
     vm_.trace().record(t_end, common::TraceKind::kAbort,
@@ -264,7 +219,7 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
     // The unstarted tail never began service: back to the front of the
     // queue, reverse order restoring the original sequence. Exactly-once
     // ledgers are untouched — these requests were neither served nor shed.
-    for (std::size_t i = count; i > started; --i) {
+    for (std::size_t i = count; i > progress.started; --i) {
       queue_->requeue(std::move(batch_[i - 1]));
     }
   }

@@ -159,12 +159,6 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
     bool served = false;
   };
 
-  // Runs one request under Timed(budget) in the calling fiber (the server's
-  // own thread), measuring elapsed wall-clock virtual time exactly the way
-  // the paper's implementation does. Records the outcome.
-  TSF_REALTIME
-  DispatchResult dispatch(const Request& request, rtsj::RelativeTime budget);
-
   // Pops up to params_.batch_limit() requests into batch_: the head via
   // `head_fits` (the policy's full single-request rule), followers via
   // `follow_fits`, which sees the batch's cumulative declared cost so the
@@ -176,13 +170,17 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   std::size_t collect_batch(const FitsFn& head_fits,
                             const BatchFitsFn& follow_fits);
 
-  // Serves batch_[0..count) under ONE Timed(budget) section, charging
+  // Serves batch_[0..count) under ONE Timed(budget) section in the calling
+  // fiber (the server's own thread), measuring elapsed wall-clock virtual
+  // time the way the paper's implementation does, and charging
   // dispatch_overhead once for the whole burst — the §7 bind/dispatch
   // amortization. Each member gets its own label window, start/completion
   // instants and kComplete record, emitted at its true instant inside the
-  // section. count == 1 is exactly dispatch(). If the section's budget
-  // expires mid-batch, the running member is recorded interrupted and the
-  // unstarted tail goes back to the front of the queue untouched.
+  // section. If the section's budget expires mid-batch, the running member
+  // is recorded interrupted and the unstarted tail goes back to the front
+  // of the queue untouched. This is every server's one dispatch path
+  // (per-event serving passes count 1), and a burst allocates nothing: the
+  // section's closure fits std::function's inline buffer.
   TSF_REALTIME
   DispatchResult dispatch_batch(std::size_t count, rtsj::RelativeTime budget);
 
@@ -196,9 +194,6 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
 
   rtsj::vm::VirtualMachine& vm_;
   TaskServerParameters params_;
-  // Backs the pending queue's request storage; declared before queue_ so
-  // the queue (whose deques deallocate into it) dies first.
-  common::Arena arena_;
   std::unique_ptr<PendingQueue> queue_;
   std::vector<Request> batch_;  // collect_batch scratch, reused per burst
   rtsj::RelativeTime remaining_ = rtsj::RelativeTime::zero();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -341,6 +344,278 @@ TEST(TaskServerTake, NeverTakesAReleaseAtTheCurrentInstant) {
   server.take_pending([](const Request&) { return true; }, &taken);
   EXPECT_EQ(names(taken), (Names{"earlier"}));
   EXPECT_EQ(server.pending_count(), 1u);
+}
+
+TEST(Ring, PushFrontFromSlotZeroWrapsAndGrowthKeepsOrder) {
+  Ring<int> ring;
+  ring.push_front(2);  // head at slot 0: wraps to the last slot
+  ring.push_front(1);
+  ring.push_back(3);
+  for (int v = 4; v <= 20; ++v) ring.push_back(v);  // two doublings
+  ring.push_front(0);
+  ASSERT_EQ(ring.size(), 21u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], static_cast<int>(i));
+  }
+  EXPECT_EQ(ring.remove(5), 5);
+  EXPECT_EQ(ring.remove(0), 0);
+  ring.truncate(3);
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring[0], 1);
+  EXPECT_EQ(ring[1], 2);
+  EXPECT_EQ(ring.back(), 3);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+}
+
+// Reference-model property test: seeded random op sequences run on a real
+// queue and on a naive model of its discipline (plain vectors), compared
+// after every op. This is the coverage for the queues' ring storage: its
+// seam (requeue wraps the head around slot 0), its growth, and the
+// list-of-lists bucket bookkeeping layered over it.
+class QueueModel {
+ public:
+  QueueModel(model::QueueDiscipline discipline, Duration capacity)
+      : discipline_(discipline), capacity_(capacity) {}
+
+  void push(const Request& r) {
+    if (discipline_ != model::QueueDiscipline::kListOfLists) {
+      active_.push_back(r);
+      return;
+    }
+    const Duration c = r.handler->cost();
+    if (c > capacity_) {
+      unservable_.push_back(r);
+      return;
+    }
+    if (buckets_.empty() || buckets_.back().load + c > capacity_) {
+      buckets_.emplace_back();
+    }
+    buckets_.back().requests.push_back(r);
+    buckets_.back().load += c;
+  }
+  void requeue(const Request& r) { active_.insert(active_.begin(), r); }
+  std::optional<Request> pop_fitting(Duration budget) {
+    const bool first_fit =
+        discipline_ == model::QueueDiscipline::kFifoFirstFit;
+    const std::size_t last = first_fit ? active_.size()
+                                       : std::min<std::size_t>(1, active_.size());
+    for (std::size_t i = 0; i < last; ++i) {
+      if (active_[i].handler->cost() <= budget) {
+        const Request r = active_[i];
+        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        return r;
+      }
+    }
+    return std::nullopt;
+  }
+  void begin_instance() {
+    if (discipline_ != model::QueueDiscipline::kListOfLists) return;
+    const std::vector<Request> leftovers = std::move(active_);
+    active_.clear();
+    for (const Request& r : leftovers) push(r);
+    if (!buckets_.empty()) {
+      active_ = buckets_.front().requests;
+      buckets_.erase(buckets_.begin());
+    }
+  }
+  std::vector<std::uint64_t> take(std::uint64_t modulus, std::uint64_t rest) {
+    std::vector<std::uint64_t> out;
+    // Moves the matches out of `from` in order; returns their cost.
+    const auto extract = [&](std::vector<Request>& from) {
+      std::vector<Request> kept;
+      Duration taken = Duration::zero();
+      for (const Request& r : from) {
+        if (r.seq % modulus == rest) {
+          out.push_back(r.seq);
+          taken += r.handler->cost();
+        } else {
+          kept.push_back(r);
+        }
+      }
+      from = std::move(kept);
+      return taken;
+    };
+    extract(active_);
+    std::vector<Bucket> kept;
+    for (Bucket& b : buckets_) {
+      b.load -= extract(b.requests);
+      if (!b.requests.empty()) kept.push_back(b);
+    }
+    buckets_ = std::move(kept);
+    return out;
+  }
+  // Everything take() could reach, in queue order.
+  std::vector<std::uint64_t> visit() const {
+    std::vector<std::uint64_t> out;
+    for (const Request& r : active_) out.push_back(r.seq);
+    for (const Bucket& b : buckets_) {
+      for (const Request& r : b.requests) out.push_back(r.seq);
+    }
+    return out;
+  }
+  std::vector<std::uint64_t> drain() {
+    std::vector<std::uint64_t> out = visit();
+    for (const Request& r : unservable_) out.push_back(r.seq);
+    active_.clear();
+    buckets_.clear();
+    unservable_.clear();
+    return out;
+  }
+  bool empty() const { return active_.empty() && buckets_.empty(); }
+  std::size_t size() const { return visit().size() + unservable_.size(); }
+  std::size_t bucket_count() const { return buckets_.size(); }
+  ListOfListsQueue::Placement placement_for(Duration cost) const {
+    ListOfListsQueue::Placement p;
+    p.instance_offset = static_cast<std::int64_t>(buckets_.size());
+    if (!buckets_.empty() && buckets_.back().load + cost <= capacity_) {
+      --p.instance_offset;
+      p.cumulative_before = buckets_.back().load;
+    }
+    return p;
+  }
+
+ private:
+  struct Bucket {
+    std::vector<Request> requests;
+    Duration load = Duration::zero();
+  };
+  model::QueueDiscipline discipline_;
+  Duration capacity_;
+  std::vector<Request> active_;  // the whole queue for the FIFO disciplines
+  std::vector<Bucket> buckets_;
+  std::vector<Request> unservable_;
+};
+
+std::vector<std::uint64_t> seqs(const std::vector<Request>& requests) {
+  std::vector<std::uint64_t> out;
+  for (const Request& r : requests) out.push_back(r.seq);
+  return out;
+}
+
+// Quarter-tu costs 0.25 .. 2.25 against a 2-tu capacity: the last one can
+// never be served (the list-of-lists queue parks it).
+constexpr int kCostSteps = 9;
+Duration quarters(std::int64_t n) {
+  return Duration::ticks(Duration::kTicksPerTimeUnit / 4) * n;
+}
+
+// Runs `ops` random operations from `seed`, raising *deepest to the
+// deepest size seen.
+void run_against_model(model::QueueDiscipline discipline, std::uint64_t seed,
+                       int ops, std::size_t* deepest) {
+  const Duration capacity = tu(2);
+  HandlerPool pool;
+  std::vector<ServableAsyncEventHandler*> by_cost;
+  for (int k = 1; k <= kCostSteps; ++k) {
+    by_cost.push_back(pool.make("c" + std::to_string(k), quarters(k)));
+  }
+  auto queue = PendingQueue::make(discipline, capacity);
+  auto* lol = dynamic_cast<ListOfListsQueue*>(queue.get());
+  QueueModel model(discipline, capacity);
+  std::mt19937_64 rng(seed);
+  std::uint64_t next_seq = 0;
+  std::vector<Request> popped;  // since the last requeue, in pop order
+
+  const auto push = [&](std::size_t cost_step) {
+    const Request r = req(by_cost[cost_step], next_seq++);
+    queue->push(r);
+    model.push(r);
+  };
+  const auto pop = [&](Duration budget) {
+    const auto got = queue->pop_fitting(fits_under(budget));
+    const auto want = model.pop_fitting(budget);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got) return;
+    ASSERT_EQ(got->seq, want->seq);
+    popped.push_back(*got);
+  };
+  const auto requeue = [&] {
+    for (auto it = popped.rbegin(); it != popped.rend(); ++it) {
+      queue->requeue(*it);
+      model.requeue(*it);
+    }
+    popped.clear();
+  };
+  const auto drain = [&] {
+    ASSERT_EQ(seqs(queue->drain()), model.drain());
+  };
+
+  // Scripted prologue: a requeue onto a drained ring (head at slot 0), so
+  // the head wraps to the last slot, then growth across that seam.
+  for (int i = 0; i < 3; ++i) push(3);  // 1 tu each
+  queue->begin_instance();
+  model.begin_instance();
+  pop(capacity);
+  ASSERT_EQ(popped.size(), 1u);
+  drain();
+  requeue();
+  for (int i = 0; i < 12; ++i) push(3);
+
+  for (int op = 0; op < ops; ++op) {
+    // Push-heavy first half, pop-heavy second half: depths swing past two
+    // ring doublings and back.
+    const bool filling = op < ops / 2;
+    const std::uint64_t dice = rng() % 100;
+    if (dice < (filling ? 45u : 15u)) {
+      push(rng() % kCostSteps);
+    } else if (dice < 70) {
+      pop(quarters(static_cast<std::int64_t>(rng() % 11)));
+    } else if (dice < 76) {
+      requeue();
+    } else if (dice < 86) {
+      queue->begin_instance();
+      model.begin_instance();
+    } else if (dice < 92) {
+      const std::uint64_t modulus = 2 + rng() % 4;
+      const std::uint64_t rest = rng() % modulus;
+      std::vector<Request> taken;
+      queue->take([&](const Request& r) { return r.seq % modulus == rest; },
+                  &taken);
+      ASSERT_EQ(seqs(taken), model.take(modulus, rest));
+    } else if (dice < 99) {
+      std::vector<std::uint64_t> visited;
+      queue->visit([&](const Request& r) { visited.push_back(r.seq); });
+      ASSERT_EQ(visited, model.visit());
+    } else {
+      drain();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+
+    ASSERT_EQ(queue->size(), model.size()) << "op " << op;
+    ASSERT_EQ(queue->empty(), model.empty()) << "op " << op;
+    std::vector<std::uint64_t> visited;
+    queue->visit([&](const Request& r) { visited.push_back(r.seq); });
+    ASSERT_EQ(visited, model.visit()) << "op " << op;
+    if (lol != nullptr) {
+      ASSERT_EQ(lol->bucket_count(), model.bucket_count()) << "op " << op;
+      for (int k = 1; k <= kCostSteps; ++k) {
+        const auto got = lol->placement_for(quarters(k));
+        const auto want = model.placement_for(quarters(k));
+        ASSERT_EQ(got.instance_offset, want.instance_offset) << "op " << op;
+        ASSERT_EQ(got.cumulative_before, want.cumulative_before)
+            << "op " << op;
+      }
+    }
+    *deepest = std::max(*deepest, queue->size());
+  }
+  drain();
+}
+
+TEST(PendingQueueModel, EveryDisciplineMatchesItsReferenceModel) {
+  for (const auto discipline : {model::QueueDiscipline::kStrictFifo,
+                                model::QueueDiscipline::kFifoFirstFit,
+                                model::QueueDiscipline::kListOfLists}) {
+    std::size_t deepest = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      SCOPED_TRACE("discipline " + std::string(model::to_string(discipline)) +
+                   ", seed " + std::to_string(seed));
+      run_against_model(discipline, seed, 400, &deepest);
+      if (HasFatalFailure()) return;
+    }
+    // Past two doublings of the ring's initial 8 slots.
+    EXPECT_GT(deepest, 32u) << model::to_string(discipline);
+  }
 }
 
 TEST(PendingQueueFactory, MakesEachDiscipline) {

@@ -1,8 +1,9 @@
-// End-to-end: the tsf_run and tsf_trace binaries (TSF_RUN_EXE and
-// TSF_TRACE_EXE, injected by CMake) keep their documented contracts —
-// `tsf_trace summarize` prints the fingerprint of the `tsf_run` report that
-// wrote the trace, and bad input (a hostile tsf-trace/1 stream, a malformed
-// --batch count) exits 2 with an error instead of aborting.
+// End-to-end: the tsf_run, tsf_trace and bench_trace_stream binaries
+// (TSF_RUN_EXE, TSF_TRACE_EXE and TSF_TRACE_STREAM_EXE, injected by CMake)
+// keep their documented contracts — `tsf_trace summarize` prints the
+// fingerprint of the `tsf_run` report that wrote the trace, and bad input
+// (a hostile tsf-trace/1 stream, a malformed --batch count, a malformed
+// bench flag) exits 2 with an error instead of aborting or running on.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -20,8 +21,9 @@
 #ifndef TSF_SOURCE_DIR
 #error "TSF_SOURCE_DIR must point at the repository root"
 #endif
-#if !defined(TSF_RUN_EXE) || !defined(TSF_TRACE_EXE)
-#error "TSF_RUN_EXE and TSF_TRACE_EXE must name the tool binaries"
+#if !defined(TSF_RUN_EXE) || !defined(TSF_TRACE_EXE) || \
+    !defined(TSF_TRACE_STREAM_EXE)
+#error "TSF_RUN_EXE, TSF_TRACE_EXE and TSF_TRACE_STREAM_EXE must be defined"
 #endif
 
 namespace tsf {
@@ -129,6 +131,25 @@ TEST(TraceTools, BatchCountIsParsedStrictly) {
     EXPECT_NE(run.err.find("--batch"), std::string::npos) << run.err;
   }
   EXPECT_EQ(run_tool(TSF_RUN_EXE, spec + "3").exit_code, 0);
+}
+
+// Each malformed value exits 2 naming its flag: a lax parse would run
+// `--count -1` as 2^64-1 jobs (until killed) and "3x" as 3. The short
+// --count ahead of the other bad flags keeps a lax parser's run brief.
+TEST(TraceTools, TraceStreamBenchFlagsAreParsedStrictly) {
+  for (const auto& [flag, args] :
+       {std::pair{"--count", "--count 3x"}, std::pair{"--count", "--count -1"},
+        std::pair{"--entities", "--count 3 --entities 2y"},
+        std::pair{"--rss-limit-mb", "--count 3 --rss-limit-mb 1z"}}) {
+    const ToolRun run = run_tool(TSF_TRACE_STREAM_EXE, args);
+    EXPECT_EQ(run.exit_code, 2) << args;
+    EXPECT_NE(run.err.find(flag), std::string::npos) << args << '\n'
+                                                     << run.err;
+  }
+  EXPECT_EQ(run_tool(TSF_TRACE_STREAM_EXE,
+                     "--count 3 --entities 2 --rss-limit-mb 0")
+                .exit_code,
+            0);
 }
 
 }  // namespace

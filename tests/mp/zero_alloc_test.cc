@@ -51,11 +51,14 @@ class NullSink final : public common::TraceSink {
 // completion, which a world with an outbox stages there instead of
 // resolving locally (no migration or triggered jobs: delivery is the
 // fabric's business, exercised by the equivalence suites). Short job names
-// stay within the small-string optimization on purpose.
-model::SystemSpec steady_spec() {
+// stay within the small-string optimization on purpose. Aperiodic jobs
+// arrive in pairs, so a batching server forms real bursts; a pair every
+// 8 tu stays below the DS's 1/3 bandwidth, so the backlog stays bounded.
+model::SystemSpec steady_spec(model::QueueDiscipline queue) {
   model::SystemSpec spec;
   spec.name = "za";
   spec.server.policy = model::ServerPolicy::kDeferrable;
+  spec.server.queue = queue;
   spec.server.capacity = tu(2);
   spec.server.period = tu(6);
   spec.server.priority = 30;
@@ -68,7 +71,7 @@ model::SystemSpec steady_spec() {
   for (int j = 0; j < 24; ++j) {
     model::AperiodicJobSpec job;
     job.name = "a" + std::to_string(j);
-    job.release = at_tu(1 + 4 * j);
+    job.release = at_tu(1 + 8 * (j / 2));
     job.cost = tu(1);
     job.fires = "ack";
     spec.aperiodic_jobs.push_back(job);
@@ -91,11 +94,11 @@ class CountingEndpoint final : public exp::CoreEndpoint {
   std::size_t fires = 0;
 };
 
-void expect_zero_alloc_world(int batch) {
+void expect_zero_alloc_world(int batch, model::QueueDiscipline queue) {
   if (!testing::alloc_interposer_active()) {
     GTEST_SKIP() << "sanitizer build: interposer compiled out";
   }
-  const model::SystemSpec spec = steady_spec();
+  const model::SystemSpec spec = steady_spec(queue);
   exp::ExecOptions options;
   options.dispatch_overhead = Duration::from_tu(0.05);
   options.poll_overhead = Duration::from_tu(0.01);
@@ -121,8 +124,8 @@ void expect_zero_alloc_world(int batch) {
     return staged;
   };
 
-  // Warm-up: first epochs size the event queue, the arena slabs, the
-  // freelists, the reserved outcome vectors and the outbox.
+  // Warm-up: first epochs size the event queue, the pending queue's rings,
+  // the reserved outcome vectors and the outbox.
   run_epochs_until(40);
 
   const std::uint64_t before = testing::alloc_count();
@@ -135,20 +138,35 @@ void expect_zero_alloc_world(int batch) {
   // The window did real work: releases past t=40 were actually served, and
   // each completion staged its fire.
   const model::RunResult result = system.collect();
+  std::size_t served = 0;
   std::size_t served_late = 0;
   for (const auto& job : result.jobs) {
-    if (job.served && job.release >= at_tu(40)) ++served_late;
+    if (!job.served) continue;
+    ++served;
+    if (job.release >= at_tu(40)) ++served_late;
   }
   EXPECT_GT(served_late, 0u);
   EXPECT_GE(staged, served_late);
+  // A batching world must have served real bursts, not one job at a time.
+  if (batch > 1) {
+    EXPECT_GT(served, result.server_dispatches);
+  }
 }
 
 TEST(ZeroAllocSteadyState, PerCoreWorldPerEventDispatch) {
-  expect_zero_alloc_world(1);
+  expect_zero_alloc_world(1, model::QueueDiscipline::kFifoFirstFit);
 }
 
 TEST(ZeroAllocSteadyState, PerCoreWorldBatchedDispatch) {
-  expect_zero_alloc_world(8);
+  expect_zero_alloc_world(8, model::QueueDiscipline::kFifoFirstFit);
+}
+
+TEST(ZeroAllocSteadyState, PerCoreWorldPerEventDispatchListOfLists) {
+  expect_zero_alloc_world(1, model::QueueDiscipline::kListOfLists);
+}
+
+TEST(ZeroAllocSteadyState, PerCoreWorldBatchedDispatchListOfLists) {
+  expect_zero_alloc_world(8, model::QueueDiscipline::kListOfLists);
 }
 
 // A boundary with nothing due must not rebuild the mailboxes: messages
