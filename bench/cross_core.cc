@@ -13,12 +13,11 @@
 // synchronization but stretch the channel tail.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
@@ -139,40 +138,19 @@ int main(int argc, char** argv) {
                    : "cross-core: FAILED\n");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("cross_core");
-    json.key("metrics").begin_array();
-    auto metric = [&json](const std::string& name, double value,
-                          bool higher_is_better) {
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(value);
-      json.key("higher_is_better").value(higher_is_better);
-      json.end_object();
-    };
+    std::vector<bench::Metric> metrics;
     for (const auto& [quantum, ch] : sweep) {
       char prefix[64];
       std::snprintf(prefix, sizeof prefix, "quantum_%g/", quantum);
-      metric(prefix + std::string("delivered"),
-             static_cast<double>(ch.delivered), true);
-      metric(prefix + std::string("latency_p50_tu"), ch.latency_p50_tu,
-             false);
-      metric(prefix + std::string("latency_p95_tu"), ch.latency_p95_tu,
-             false);
-      metric(prefix + std::string("latency_p99_tu"), ch.latency_p99_tu,
-             false);
-      metric(prefix + std::string("e2e_p99_tu"), ch.e2e_p99_tu, false);
+      const std::string q = prefix;
+      metrics.push_back(
+          {q + "delivered", static_cast<double>(ch.delivered), true});
+      metrics.push_back({q + "latency_p50_tu", ch.latency_p50_tu, false});
+      metrics.push_back({q + "latency_p95_tu", ch.latency_p95_tu, false});
+      metrics.push_back({q + "latency_p99_tu", ch.latency_p99_tu, false});
+      metrics.push_back({q + "e2e_p99_tu", ch.e2e_p99_tu, false});
     }
-    json.end_array();
-    json.end_object();
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-    out << json.take();
+    if (bench::write_json(json_path, "cross_core", metrics) != 0) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -27,12 +27,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
 #include "exp/exec_runner.h"
@@ -164,40 +163,24 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("dispatch_batch");
-    json.key("metrics").begin_array();
-    auto metric = [&json](const std::string& name, double value,
-                          bool higher_is_better) {
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(value);
-      json.key("higher_is_better").value(higher_is_better);
-      json.end_object();
-    };
+    std::vector<bench::Metric> metrics;
     for (const Level& level : levels) {
-      metric("served_batch" + std::to_string(level.batch),
-             static_cast<double>(level.served), true);
+      metrics.push_back({"served_batch" + std::to_string(level.batch),
+                         static_cast<double>(level.served), true});
     }
-    metric("speedup_batch16", speedup16, true);
+    metrics.push_back({"speedup_batch16", speedup16, true});
     // Wall clock: the committed baseline is a conservative floor.
     const Level& top = levels[2];  // batch = 16
-    metric("events_per_sec_batch16",
-           top.best_seconds > 0.0
-               ? static_cast<double>(top.served) / top.best_seconds
-               : 0.0,
-           true);
-    metric("deterministic_ok", all_deterministic ? 1.0 : 0.0, true);
-    json.end_array();
-    json.end_object();
-    std::ofstream out(cli.json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << cli.json_path << "'\n";
+    metrics.push_back({"events_per_sec_batch16",
+                       top.best_seconds > 0.0
+                           ? static_cast<double>(top.served) / top.best_seconds
+                           : 0.0,
+                       true});
+    metrics.push_back(
+        {"deterministic_ok", all_deterministic ? 1.0 : 0.0, true});
+    if (bench::write_json(cli.json_path, "dispatch_batch", metrics) != 0) {
       return 1;
     }
-    out << json.take();
   }
   return ok ? 0 : 1;
 }

@@ -10,12 +10,11 @@
 // across two runs).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
@@ -139,11 +138,7 @@ int main(int argc, char** argv) {
                    : "scaling: FAILED\n");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("mp_scaling");
-    json.key("metrics").begin_array();
+    std::vector<bench::Metric> metrics;
     for (const auto& [policy, s] : all_samples) {
       for (const auto& [metric, count] :
            {std::pair<const char*, std::size_t>{"served_sim", s.served_sim},
@@ -151,21 +146,10 @@ int main(int argc, char** argv) {
         char name[96];
         std::snprintf(name, sizeof name, "%s/cores_%d/%s", policy.c_str(),
                       s.cores, metric);
-        json.begin_object();
-        json.key("name").value(name);
-        json.key("value").value(static_cast<double>(count));
-        json.key("higher_is_better").value(true);
-        json.end_object();
+        metrics.push_back({name, static_cast<double>(count), true});
       }
     }
-    json.end_array();
-    json.end_object();
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-    out << json.take();
+    if (bench::write_json(json_path, "mp_scaling", metrics) != 0) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -16,13 +16,12 @@
 // against bench/baselines/overload.json.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "analysis/offline_value.h"
-#include "common/json_writer.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
@@ -156,26 +155,11 @@ int main(int argc, char** argv) {
                    : "overload: FAILED\n");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("overload");
-    json.key("metrics").begin_array();
+    std::vector<bench::Metric> metrics;
     for (const auto& row : rows) {
-      json.begin_object();
-      json.key("name").value(row.name + "/ratio");
-      json.key("value").value(row.cell.ratio);
-      json.key("higher_is_better").value(true);
-      json.end_object();
+      metrics.push_back({row.name + "/ratio", row.cell.ratio, true});
     }
-    json.end_array();
-    json.end_object();
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-    out << json.take();
+    if (bench::write_json(json_path, "overload", metrics) != 0) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -16,14 +16,13 @@
 // gates against bench/baselines/rebalance.json.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
@@ -199,34 +198,16 @@ int main(int argc, char** argv) {
                    : "rebalance: FAILED\n");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("rebalance");
-    json.key("metrics").begin_array();
-    const auto metric = [&json](const std::string& name, double value,
-                                bool higher_is_better) {
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(value);
-      json.key("higher_is_better").value(higher_is_better);
-      json.end_object();
+    const std::vector<bench::Metric> metrics = {
+        {"static/p99_tu", off.response.p99_tu, false},
+        {"static/served", static_cast<double>(off.served), true},
+        {"rebalanced/p99_tu", drift.response.p99_tu, false},
+        {"rebalanced/p50_tu", drift.response.p50_tu, false},
+        {"rebalanced/served", static_cast<double>(drift.served), true},
+        {"rebalanced/migrations", static_cast<double>(drift.migrations),
+         true},
     };
-    metric("static/p99_tu", off.response.p99_tu, false);
-    metric("static/served", static_cast<double>(off.served), true);
-    metric("rebalanced/p99_tu", drift.response.p99_tu, false);
-    metric("rebalanced/p50_tu", drift.response.p50_tu, false);
-    metric("rebalanced/served", static_cast<double>(drift.served), true);
-    metric("rebalanced/migrations", static_cast<double>(drift.migrations),
-           true);
-    json.end_array();
-    json.end_object();
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
-      return 1;
-    }
-    out << json.take();
+    if (bench::write_json(json_path, "rebalance", metrics) != 0) return 1;
   }
   return ok ? 0 : 1;
 }

@@ -9,12 +9,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "exp/bench_cli.h"
 
 namespace tsf::bench {
@@ -35,38 +32,6 @@ double items_per_sec(std::size_t items, Body body) {
                                                                 begin)
           .count();
   return seconds > 0.0 ? static_cast<double>(done) / seconds : 0.0;
-}
-
-struct Metric {
-  std::string name;
-  double value = 0.0;
-  bool higher_is_better = true;
-};
-
-// Writes the tsf-bench/1 document for `bench`; returns the exit code.
-inline int write_json(const std::string& path, const std::string& bench,
-                      const std::vector<Metric>& metrics) {
-  common::JsonWriter json;
-  json.begin_object();
-  json.key("schema").value("tsf-bench/1");
-  json.key("bench").value(bench);
-  json.key("metrics").begin_array();
-  for (const Metric& m : metrics) {
-    json.begin_object();
-    json.key("name").value(m.name);
-    json.key("value").value(m.value);
-    json.key("higher_is_better").value(m.higher_is_better);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::cerr << "error: cannot write '" << path << "'\n";
-    return 1;
-  }
-  out << json.take();
-  return 0;
 }
 
 // The whole main(): --json takes the self-timed `run_json(path)`; anything

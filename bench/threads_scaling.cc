@@ -18,14 +18,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "exp/bench_cli.h"
@@ -142,41 +141,18 @@ int main(int argc, char** argv) {
                    : "FAIL: threads backend diverged from the oracle\n");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("threads_scaling");
-    json.key("metrics").begin_array();
+    std::vector<bench::Metric> metrics;
     for (const auto& s : samples) {
-      char name[64];
-      std::snprintf(name, sizeof name, "cores_%d/served", s.cores);
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(static_cast<double>(s.served));
-      json.key("higher_is_better").value(true);
-      json.end_object();
-      std::snprintf(name, sizeof name, "cores_%d/equivalent", s.cores);
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(s.equivalent ? 1.0 : 0.0);
-      json.key("higher_is_better").value(true);
-      json.end_object();
-      std::snprintf(name, sizeof name, "cores_%d/threads_events_per_sec",
-                    s.cores);
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(s.threads_events_per_sec());
-      json.key("higher_is_better").value(true);
-      json.end_object();
+      const std::string cores = "cores_" + std::to_string(s.cores) + "/";
+      metrics.push_back(
+          {cores + "served", static_cast<double>(s.served), true});
+      metrics.push_back({cores + "equivalent", s.equivalent ? 1.0 : 0.0, true});
+      metrics.push_back(
+          {cores + "threads_events_per_sec", s.threads_events_per_sec(), true});
     }
-    json.end_array();
-    json.end_object();
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot write '" << json_path << "'\n";
+    if (bench::write_json(json_path, "threads_scaling", metrics) != 0) {
       return 1;
     }
-    out << json.take();
   }
   return ok ? 0 : 1;
 }

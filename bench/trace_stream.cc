@@ -35,7 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json_writer.h"
+#include "bench_json.h"
 #include "common/trace.h"
 #include "common/trace_io.h"
 #include "common/trace_sink.h"
@@ -218,28 +218,14 @@ int main(int argc, char** argv) {
               fingerprint_ok ? "ok" : "FAIL", roundtrip_ok ? "ok" : "FAIL");
 
   if (!json_path.empty()) {
-    common::JsonWriter json;
-    json.begin_object();
-    json.key("schema").value("tsf-bench/1");
-    json.key("bench").value("trace_stream");
-    json.key("metrics").begin_array();
-    auto metric = [&json](const std::string& name, double value,
-                          bool higher_is_better) {
-      json.begin_object();
-      json.key("name").value(name);
-      json.key("value").value(value);
-      json.key("higher_is_better").value(higher_is_better);
-      json.end_object();
+    const std::vector<bench::Metric> metrics = {
+        {"records", records, true},
+        {"bytes_per_record", bytes_per_record, false},
+        {"fingerprint_ok", fingerprint_ok ? 1.0 : 0.0, true},
+        {"roundtrip_ok", roundtrip_ok ? 1.0 : 0.0, true},
+        {"events_per_sec", events_per_sec, true},
     };
-    metric("records", records, true);
-    metric("bytes_per_record", bytes_per_record, false);
-    metric("fingerprint_ok", fingerprint_ok ? 1.0 : 0.0, true);
-    metric("roundtrip_ok", roundtrip_ok ? 1.0 : 0.0, true);
-    metric("events_per_sec", events_per_sec, true);
-    json.end_array();
-    json.end_object();
-    std::ofstream json_out(json_path, std::ios::binary);
-    json_out << json.take();
+    if (bench::write_json(json_path, "trace_stream", metrics) != 0) return 1;
   }
 
   if (!fingerprint_ok || !roundtrip_ok) return 1;

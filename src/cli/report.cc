@@ -277,6 +277,7 @@ std::string run_and_report(const CliConfig& config) {
            << "/" << config.spec.cores << " workers pinned\n";
       }
       if (!run.channel_deliveries.empty() || run.channel_in_flight > 0 ||
+          !run.merged.shed_events.empty() ||
           config.policy != mp::SchedPolicy::kPartitioned) {
         const auto ch = exp::compute_channel_metrics(run.channel_deliveries,
                                                      run.merged);

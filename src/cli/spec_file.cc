@@ -541,6 +541,16 @@ struct Parser {
         (server.capacity.is_zero() || server.period.is_zero())) {
       out.errors.push_back("server needs a positive capacity and period");
     }
+    if (server.queue == model::QueueDiscipline::kListOfLists &&
+        (server.policy == model::ServerPolicy::kSporadic ||
+         server.policy == model::ServerPolicy::kBackground)) {
+      // Only the polling and deferrable servers open list-of-lists
+      // instances; under the others every release would stay queued.
+      out.errors.push_back(
+          std::string("queue = list-of-lists needs policy = "
+                      "polling|deferrable, not '") +
+          model::to_string(server.policy) + "'");
+    }
     for (const auto& t : out.config.spec.periodic_tasks) {
       if (t.period.is_zero() || t.cost.is_zero()) {
         out.errors.push_back("task '" + t.name +

@@ -9,7 +9,8 @@
 //     capacity = 3
 //     period   = 6
 //     priority = 30
-//     queue    = first-fit        # fifo|first-fit|list-of-lists
+//     queue    = first-fit        # fifo|first-fit|list-of-lists (the last
+//                                 # for polling|deferrable servers only)
 //
 //     [task tau1]
 //     period   = 6

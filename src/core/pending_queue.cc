@@ -57,10 +57,10 @@ std::unique_ptr<PendingQueue> PendingQueue::make(
 std::optional<Request> FifoQueue::pop_fitting(const FitsFn& fits) {
   // Strict FIFO only ever looks at the head.
   const std::size_t last = first_fit_ || q_.empty() ? q_.size() : 1;
-  for (std::size_t i = 0; i < last; ++i) {
-    if (fits(declared(q_[i]))) return q_.remove(i);
-  }
-  return std::nullopt;
+  const std::size_t i = q_.find_first(
+      last, [fit = fits](const Request& r) { return fit(declared(r)); });
+  if (i == last) return std::nullopt;
+  return q_.remove(i);
 }
 
 std::vector<Request> FifoQueue::drain() {

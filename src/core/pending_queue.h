@@ -8,6 +8,7 @@
 // release is computable in constant time (equation (5)).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -58,6 +59,22 @@ class Ring {
   }
   T& back() { return (*this)[size_ - 1]; }
   const T& back() const { return (*this)[size_ - 1]; }
+  // Index of the first of the first n (<= size()) elements `pred` accepts,
+  // or n. Walks the at most two contiguous runs of slots through locals,
+  // so an opaque `pred` costs no reload of the ring's bookkeeping.
+  template <typename Pred>
+  std::size_t find_first(std::size_t n, Pred pred) const {
+    const T* const base = slots_.data();
+    const T* const front = base + head_;
+    const std::size_t run = std::min(n, slots_.size() - head_);
+    for (const T* p = front; p != front + run; ++p) {
+      if (pred(*p)) return static_cast<std::size_t>(p - front);
+    }
+    for (const T* p = base; p != base + (n - run); ++p) {
+      if (pred(*p)) return run + static_cast<std::size_t>(p - base);
+    }
+    return n;
+  }
 
   void push_back(T value) {
     if (size_ == slots_.size()) grow();

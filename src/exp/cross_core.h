@@ -65,9 +65,9 @@ inline bool schedules_before(double value_a, common::TimePoint release_a,
 
 // A pending request removed from a core's queue by the work stealer or the
 // rebalancer: the job identity plus its original release instant,
-// preserved so the outcome on the thief core keeps the true response time
-// (and so mp::merge_results can deduplicate by (job, release) against the
-// home core's bookkeeping).
+// preserved so the outcome on the thief core keeps the true response time.
+// The core it left books nothing for that release; the thief books its
+// fate.
 struct StolenJob {
   MigratedJob job;
   common::TimePoint release = common::TimePoint::never();
@@ -151,6 +151,16 @@ class CoreEndpoint {
     (void)release;
     deliver_migrated(job);
   }
+  // Re-releases a request another core's steal() gave up — the work
+  // stealer's and the rebalancer's moves — like deliver_job, but keeps its
+  // declared cost out of released_cost(): moved backlog is not freshly
+  // offered work, and must not manufacture drift (or overload) at its own
+  // target. (A pool dispatch is a job's first release anywhere: it goes
+  // through deliver_job and counts.)
+  TSF_BARRIER_ONLY
+  virtual void deliver_moved(const StolenJob& moved) {
+    deliver_job(moved.job, moved.release);
+  }
   // Appends a view of every pending request the work stealer and the
   // rebalancer may move right now — stealable (unpinned) and released
   // strictly before the current instant — in queue order.
@@ -171,8 +181,9 @@ class CoreEndpoint {
   //     plain endpoints working unchanged)
 
   // Cumulative declared cost of every aperiodic request released on this
-  // core so far — the signal the online rebalancer integrates over its
-  // sliding window to measure this core's offered aperiodic utilization.
+  // core so far, less what deliver_moved re-released here — the signal the
+  // load meter integrates over a sliding window to measure this core's
+  // offered aperiodic utilization.
   virtual common::Duration released_cost() const {
     return common::Duration::zero();
   }
@@ -224,11 +235,7 @@ struct ChannelDelivery {
   // release; the gap is the queue wait before the rebalance). from_core ==
   // kNoCore: the online admission of a periodic task the offline
   // partitioner had rejected (posted == delivered == the admission instant).
-  // kShed / kTakeover: overload-policy ledger entries folded in from the
-  // per-core ShedEvent records (from_core == to_core == the deciding core;
-  // posted = the job's release, delivered = the decision instant).
-  enum class Kind { kFire, kMigrate, kPool, kSteal, kRebalance, kShed,
-                    kTakeover };
+  enum class Kind { kFire, kMigrate, kPool, kSteal, kRebalance };
   static constexpr std::size_t kNoCore = static_cast<std::size_t>(-1);
 
   Kind kind = Kind::kFire;

@@ -1,7 +1,9 @@
 #include "exp/exec_runner.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,14 @@ namespace {
 std::unique_ptr<core::TaskServer> make_server(
     rtsj::vm::VirtualMachine& vm, const model::ServerSpec& spec,
     const ExecOptions& options) {
+  // Only the polling and deferrable servers open list-of-lists instances;
+  // any other server would leave every release queued for good.
+  if (spec.queue == model::QueueDiscipline::kListOfLists &&
+      (spec.policy == model::ServerPolicy::kSporadic ||
+       spec.policy == model::ServerPolicy::kBackground)) {
+    TSF_PANIC("the " << model::to_string(spec.policy)
+                     << " server cannot run the list-of-lists queue");
+  }
   core::TaskServerParameters params("server", spec.capacity, spec.period,
                                     spec.priority);
   params.set_queue_discipline(spec.queue)
@@ -90,6 +100,10 @@ class ExecSystem::JobHandler final : public core::ServableAsyncEventHandler {
         info(std::move(job)) {}
 
   const JobInfo info;
+  core::ServableAsyncEvent* event = nullptr;  // the event it is bound to
+  // A steal took this job's release off this core and it never came back:
+  // the thief books its fate, so collect() books no never-ran placeholder.
+  bool stolen_away = false;
 };
 
 ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
@@ -129,9 +143,10 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
       // The raw spec value (not effective_value): zero falls back to the
       // declared cost inside the scheduling comparators, uniformly with
       // pool/migrated jobs.
-      build_job(job.name, job.effective_declared_cost(), actual, job.fires,
-                /*with_timer=*/!job.triggered, job.release, job.value,
-                /*stealable=*/job.affinity < 0, job.relative_deadline);
+      build_job({job.name, job.effective_declared_cost(), actual, job.fires,
+                 job.value, job.relative_deadline},
+                /*stealable=*/job.affinity < 0,
+                job.triggered ? std::nullopt : std::optional(job.release));
     }
   }
 
@@ -186,36 +201,38 @@ rtsj::RealtimeThread* ExecSystem::build_task(
   return threads_.back().get();
 }
 
-void ExecSystem::build_job(const std::string& name, common::Duration declared,
-                           common::Duration actual, const std::string& fires,
-                           bool with_timer, common::TimePoint release,
-                           double value, bool stealable,
-                           common::Duration relative_deadline) {
+ExecSystem::JobHandler* ExecSystem::build_job(
+    const MigratedJob& job, bool stealable,
+    std::optional<common::TimePoint> timer) {
+  const Duration actual = job.actual_cost;
   core::ServableAsyncEventHandler::Logic logic;
-  if (fires.empty()) {
+  if (job.fires.empty()) {
     logic = [actual](rtsj::Timed& timed) { timed.work(actual); };
   } else {
     // The fire happens only on completion: an interrupted handler (Timed
     // budget exhausted) unwinds before reaching it, so a half-served job
     // never signals downstream work.
-    logic = [this, actual, fires](rtsj::Timed& timed) {
+    logic = [this, actual, fires = job.fires](rtsj::Timed& timed) {
       timed.work(actual);
       fire_target(fires);
     };
   }
   handlers_.push_back(std::make_unique<JobHandler>(
-      name, declared, std::move(logic),
-      JobInfo{actual, fires, value, stealable, relative_deadline}));
-  handlers_.back()->set_server(server_.get());
+      job.name, job.declared_cost, std::move(logic),
+      JobInfo{actual, job.fires, job.value, stealable,
+              job.relative_deadline}));
+  JobHandler* handler = handlers_.back().get();
+  handler->set_server(server_.get());
   events_.push_back(
-      std::make_unique<core::ServableAsyncEvent>(vm_, name + ".e"));
-  events_.back()->add_handler(handlers_.back().get());
-  events_by_job_[name] = events_.back().get();
-  handlers_by_job_[name] = handlers_.back().get();
-  if (with_timer) {
-    timers_.push_back(std::make_unique<rtsj::OneShotTimer>(
-        vm_, release, events_.back().get()));
+      std::make_unique<core::ServableAsyncEvent>(vm_, job.name + ".e"));
+  handler->event = events_.back().get();
+  handler->event->add_handler(handler);
+  jobs_[job.name] = handler;
+  if (timer.has_value()) {
+    timers_.push_back(
+        std::make_unique<rtsj::OneShotTimer>(vm_, *timer, handler->event));
   }
+  return handler;
 }
 
 void ExecSystem::fire_target(const std::string& job) {
@@ -225,26 +242,23 @@ void ExecSystem::fire_target(const std::string& job) {
   }
   // No fabric: resolve locally; a target living outside this world (a solo
   // re-run of one core's sub-spec) simply has nobody listening.
-  auto it = events_by_job_.find(job);
-  if (it != events_by_job_.end()) it->second->fire();
+  auto it = jobs_.find(job);
+  if (it != jobs_.end()) it->second->event->fire();
 }
 
 bool ExecSystem::deliver_fire(const std::string& job) {
-  auto it = events_by_job_.find(job);
-  if (it == events_by_job_.end()) return false;
-  it->second->fire();
+  auto it = jobs_.find(job);
+  if (it == jobs_.end()) return false;
+  it->second->event->fire();
   return true;
 }
 
 void ExecSystem::deliver_migrated(const MigratedJob& job) {
   TSF_ASSERT(server_ != nullptr,
              "migrated job " << job.name << " delivered to a serverless core");
-  TSF_ASSERT(events_by_job_.find(job.name) == events_by_job_.end(),
+  TSF_ASSERT(jobs_.find(job.name) == jobs_.end(),
              "migrated job " << job.name << " delivered twice");
-  build_job(job.name, job.declared_cost, job.actual_cost, job.fires,
-            /*with_timer=*/false, common::TimePoint::origin(), job.value,
-            /*stealable=*/true, job.relative_deadline);
-  events_by_job_[job.name]->fire();
+  build_job(job, /*stealable=*/true)->event->fire();
 }
 
 bool ExecSystem::serves_aperiodics() const { return server_ != nullptr; }
@@ -259,17 +273,19 @@ void ExecSystem::deliver_job(const MigratedJob& job,
              "job " << job.name << " delivered to a serverless core");
   // A re-delivery (a job stolen to this core twice, or stolen back) reuses
   // the handler already built here; costs are identical by construction.
-  if (handlers_by_job_.find(job.name) == handlers_by_job_.end()) {
-    build_job(job.name, job.declared_cost, job.actual_cost, job.fires,
-              /*with_timer=*/false, release, job.value, /*stealable=*/true,
-              job.relative_deadline);
-  }
-  stolen_away_.erase(job.name);  // stolen back: this core owns a release again
+  const auto it = jobs_.find(job.name);
+  JobHandler* handler =
+      it != jobs_.end() ? it->second : build_job(job, /*stealable=*/true);
+  handler->stolen_away = false;  // stolen back: this core owns a release again
   // Release directly through the server with the preserved instant: the
   // event's own fire() would stamp the VM clock and lose the original
-  // release (and with it the honest response time and the (job, release)
-  // dedupe key merge_results relies on).
-  server_->servable_event_released(handlers_by_job_[job.name], release);
+  // release, and with it the honest response time.
+  server_->servable_event_released(handler, release);
+}
+
+void ExecSystem::deliver_moved(const StolenJob& moved) {
+  deliver_job(moved.job, moved.release);
+  moved_in_cost_ += moved.job.declared_cost;
 }
 
 const ExecSystem::JobInfo& ExecSystem::info_of(const core::Request& r) {
@@ -292,15 +308,9 @@ PendingView ExecSystem::view_of(const core::Request& r) {
 
 StolenJob ExecSystem::to_stolen(const core::Request& r) {
   const JobInfo& info = info_of(r);
-  StolenJob stolen;
-  stolen.job.name = r.handler->name();
-  stolen.job.declared_cost = r.handler->cost();
-  stolen.job.actual_cost = info.actual;
-  stolen.job.fires = info.fires;
-  stolen.job.value = info.value;
-  stolen.job.relative_deadline = info.relative_deadline;
-  stolen.release = r.release;
-  return stolen;
+  return {{r.handler->name(), r.handler->cost(), info.actual, info.fires,
+           info.value, info.relative_deadline},
+          r.release};
 }
 
 void ExecSystem::stealable_views(std::vector<PendingView>* out) const {
@@ -320,12 +330,13 @@ std::optional<StolenJob> ExecSystem::steal(std::uint64_t handle) {
   server_->take_pending(
       [handle](const core::Request& r) { return r.seq == handle; }, &taken);
   if (taken.empty()) return std::nullopt;
-  stolen_away_.insert(taken.front().handler->name());
+  static_cast<JobHandler*>(taken.front().handler)->stolen_away = true;
   return to_stolen(taken.front());
 }
 
 common::Duration ExecSystem::released_cost() const {
-  return server_ != nullptr ? server_->released_cost() : common::Duration::zero();
+  return server_ != nullptr ? server_->released_cost() - moved_in_cost_
+                            : common::Duration::zero();
 }
 
 void ExecSystem::sheddable_views(std::vector<PendingView>* out) const {
@@ -363,43 +374,72 @@ void ExecSystem::start() {
 
 model::RunResult ExecSystem::collect() {
   vm_.end_trace();  // no-op when a multi-core driver already ended it
-  // Collect outcomes in spec order; anything the server never saw (or that
-  // has no server at all) counts as released-but-unserved. A job can have
-  // several outcomes (a triggered job fired more than once), so group by
-  // name: the first release fills the spec-ordered slot, the rest — plus
-  // jobs that aren't in this core's spec at all (migrated in mid-run) —
-  // are appended after the spec-ordered block, in name order.
-  std::map<std::string, std::vector<model::JobOutcome>> by_name;
+  // Outcomes in spec order; anything the server never saw (or that has no
+  // server at all) counts as released-but-unserved, except a job a steal
+  // moved to another core — the thief books it. Jobs delivered here mid-run
+  // and re-fired jobs' later releases follow the spec-ordered block.
+  std::vector<model::JobOutcome> outcomes;
   if (server_ != nullptr) {
-    for (auto& o : server_->final_outcomes()) {
-      by_name[o.name].push_back(o);
-    }
+    outcomes = server_->final_outcomes();
     result_.server_activations = server_->activation_count();
     result_.server_dispatches = server_->dispatch_count();
     result_.shed_events = server_->shed_events();
   }
-  result_.jobs.reserve(spec_.aperiodic_jobs.size());
-  for (const auto& job : spec_.aperiodic_jobs) {
-    auto it = by_name.find(job.name);
-    if (it != by_name.end() && !it->second.empty()) {
-      result_.jobs.push_back(std::move(it->second.front()));
-      it->second.erase(it->second.begin());
-    } else if (stolen_away_.count(job.name) == 0) {
-      // Never released (includes a triggered job that was never fired):
-      // recorded against its nominal release, served == false. Jobs a
-      // steal moved to another core are skipped — the thief books them.
-      model::JobOutcome o;
-      o.name = job.name;
-      o.release = job.release;
-      o.cost = job.cost;
-      result_.jobs.push_back(o);
-    }
-  }
-  for (auto& [name, extras] : by_name) {
-    for (auto& o : extras) result_.jobs.push_back(std::move(o));
-  }
+  result_.jobs = in_spec_order(
+      spec_.aperiodic_jobs, std::move(outcomes),
+      [this](const std::string& name) {
+        const auto it = jobs_.find(name);
+        return it == jobs_.end() || !it->second->stolen_away;
+      });
   result_.timeline = std::move(vm_.timeline());
   return std::move(result_);
+}
+
+std::vector<model::JobOutcome> in_spec_order(
+    const std::vector<model::AperiodicJobSpec>& jobs,
+    std::vector<model::JobOutcome> outcomes,
+    common::FunctionRef<bool(const std::string&)> placeholder) {
+  // Indexes in name order, ties kept in the given order.
+  const auto by_name = [](const auto& items) {
+    std::vector<std::size_t> order(items.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return items[a].name < items[b].name;
+                     });
+    return order;
+  };
+  // Walk spec slots and outcomes together in name order: a name's first
+  // outcomes fill its slots in spec order; the rest follow the spec-ordered
+  // block, in name order.
+  const std::vector<std::size_t> slots = by_name(jobs);
+  const std::size_t kFree = outcomes.size();
+  std::vector<std::size_t> filled_by(jobs.size(), kFree);
+  std::vector<std::size_t> rest;
+  auto slot = slots.begin();
+  for (const std::size_t i : by_name(outcomes)) {
+    while (slot != slots.end() && jobs[*slot].name < outcomes[i].name) ++slot;
+    if (slot != slots.end() && jobs[*slot].name == outcomes[i].name) {
+      filled_by[*slot++] = i;
+    } else {
+      rest.push_back(i);
+    }
+  }
+  // A free slot books a never-ran placeholder (served == false) unless
+  // `placeholder` says no. Callers keep the result, so it is sized for
+  // every placeholder, not grown.
+  std::vector<model::JobOutcome> out;
+  out.reserve(outcomes.size() +
+              std::count(filled_by.begin(), filled_by.end(), kFree));
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    if (filled_by[k] != kFree) {
+      out.push_back(std::move(outcomes[filled_by[k]]));
+    } else if (placeholder(jobs[k].name)) {
+      out.push_back({jobs[k].name, jobs[k].release, jobs[k].cost});
+    }
+  }
+  for (const std::size_t i : rest) out.push_back(std::move(outcomes[i]));
+  return out;
 }
 
 model::RunResult run_exec(const model::SystemSpec& spec,

@@ -9,10 +9,11 @@
 
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "exp/cross_core.h"
@@ -81,6 +82,18 @@ ExecOptions paper_execution_options();
 model::RunResult run_exec(const model::SystemSpec& spec,
                           const ExecOptions& options = {});
 
+// Lays a run's aperiodic outcomes out in spec order — the one layout of
+// ExecSystem::collect and mp::merge_results. Each spec job's slot takes its
+// first outcome in `outcomes` order; a job with none gets a never-ran
+// placeholder (nominal release, served == false) unless `placeholder`
+// returns false for its name. The other outcomes (a re-fired job's later
+// releases, jobs no spec slot names) follow in name order, each name's in
+// `outcomes` order.
+std::vector<model::JobOutcome> in_spec_order(
+    const std::vector<model::AperiodicJobSpec>& jobs,
+    std::vector<model::JobOutcome> outcomes,
+    common::FunctionRef<bool(const std::string&)> placeholder);
+
 // One spec lowered onto one VM, with the run loop left to the caller — the
 // building block behind run_exec and the per-core worlds of mp::MultiVm
 // (which advances several VMs to shared epoch boundaries). Lifecycle:
@@ -135,6 +148,8 @@ class ExecSystem : public CoreEndpoint {
   void deliver_job(const MigratedJob& job,
                    common::TimePoint release) override;
   TSF_BARRIER_ONLY
+  void deliver_moved(const StolenJob& moved) override;
+  TSF_BARRIER_ONLY
   void stealable_views(std::vector<PendingView>* out) const override;
   TSF_BARRIER_ONLY
   std::optional<StolenJob> steal(std::uint64_t handle) override;
@@ -160,8 +175,8 @@ class ExecSystem : public CoreEndpoint {
     // Firm deadline relative to release; zero = soft (never shed).
     common::Duration relative_deadline = common::Duration::zero();
   };
-  // Every handler this system builds carries its job's JobInfo, so a
-  // pending request reaches it through its handler pointer.
+  // Every handler this system builds carries its job's JobInfo and its
+  // event, so a pending request reaches both through its handler pointer.
   class JobHandler;
 
   static const JobInfo& info_of(const core::Request& r);
@@ -170,13 +185,10 @@ class ExecSystem : public CoreEndpoint {
   // Builds one periodic task's RealtimeThread (body records
   // PeriodicOutcomes against task.start + k * period).
   rtsj::RealtimeThread* build_task(const model::PeriodicTaskSpec& task);
-  // Builds handler + event (+ optional release timer) for one job and
-  // registers the event under the job's name.
-  void build_job(const std::string& name, common::Duration declared,
-                 common::Duration actual, const std::string& fires,
-                 bool with_timer, common::TimePoint release,
-                 double value = 0.0, bool stealable = false,
-                 common::Duration relative_deadline = common::Duration::zero());
+  // Builds handler + event (+ a release timer at `timer`, if any) for one
+  // job and registers the handler under the job's name.
+  JobHandler* build_job(const MigratedJob& job, bool stealable,
+                        std::optional<common::TimePoint> timer = {});
   // Routes a completed handler's `fires` target: into the outbox when the
   // fabric is attached, synchronously otherwise.
   TSF_WORKER_PHASE
@@ -191,12 +203,10 @@ class ExecSystem : public CoreEndpoint {
   std::vector<std::unique_ptr<JobHandler>> handlers_;
   std::vector<std::unique_ptr<core::ServableAsyncEvent>> events_;
   std::vector<std::unique_ptr<rtsj::OneShotTimer>> timers_;
-  std::map<std::string, core::ServableAsyncEvent*> events_by_job_;
-  std::map<std::string, JobHandler*> handlers_by_job_;
-  // Jobs a steal removed from this core's queue (and that never came
-  // back): their fate is recorded by the thief core, so collect() must not
-  // book the usual never-ran placeholder for them.
-  std::set<std::string> stolen_away_;
+  std::map<std::string, JobHandler*> jobs_;
+  // Declared cost released here by deliver_moved: work another core had
+  // already been offered, kept out of released_cost().
+  common::Duration moved_in_cost_ = common::Duration::zero();
 };
 
 }  // namespace tsf::exp

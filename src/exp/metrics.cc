@@ -103,14 +103,6 @@ ChannelMetrics compute_channel_metrics(
   for (const auto& job : merged.jobs) outcomes[job.name].push_back(&job);
 
   for (const auto& d : deliveries) {
-    if (d.kind == ChannelDelivery::Kind::kShed) {
-      ++m.sheds;
-      continue;
-    }
-    if (d.kind == ChannelDelivery::Kind::kTakeover) {
-      ++m.takeovers;
-      continue;
-    }
     if (d.kind == ChannelDelivery::Kind::kPool ||
         d.kind == ChannelDelivery::Kind::kSteal ||
         d.kind == ChannelDelivery::Kind::kRebalance) {

@@ -105,10 +105,6 @@ struct ChannelMetrics {
   std::size_t rebalance_admissions = 0;
   double sched_wait_mean_tu = 0.0;  // over pool dispatches + steals + moves
   double sched_wait_p99_tu = 0.0;
-  // Overload-policy ledger entries (kShed / kTakeover). Counts only — a
-  // shed job has no delivery latency to speak of.
-  std::size_t sheds = 0;
-  std::size_t takeovers = 0;
 };
 
 // `merged` must be the merged RunResult of the same run the deliveries came

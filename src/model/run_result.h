@@ -11,8 +11,8 @@ namespace tsf::model {
 
 // One overload decision that removed (or took over) pending work — the
 // exactly-once ledger the invariant checker reconciles against the kShed
-// trace records. Recorded core-locally by the task server, folded into the
-// cross-core ChannelDelivery ledger by mp::merge_results.
+// trace records. Recorded core-locally by the task server; mp::merge_results
+// concatenates the cores' events in core order and stamps the deciding core.
 struct ShedEvent {
   enum class Kind {
     kShed,      // job dropped, will never be dispatched

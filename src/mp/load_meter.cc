@@ -23,10 +23,6 @@ LoadMeter::LoadMeter(const ChannelFabric& fabric,
     periodic_.push_back(u);
   }
   samples_.resize(partition.cores.size());
-  migrated_in_.assign(partition.cores.size(), Duration::zero());
-  for (const auto& job : spec.aperiodic_jobs) {
-    declared_[job.name] = job.effective_declared_cost();
-  }
 }
 
 void LoadMeter::retain(Duration period) {
@@ -35,27 +31,10 @@ void LoadMeter::retain(Duration period) {
 }
 
 void LoadMeter::sample(TimePoint boundary) {
-  const auto& ledger = fabric_.deliveries();
-  for (; ledger_seen_ < ledger.size(); ++ledger_seen_) {
-    const auto& d = ledger[ledger_seen_];
-    if (!d.ok) continue;
-    if (d.kind != exp::ChannelDelivery::Kind::kSteal &&
-        d.kind != exp::ChannelDelivery::Kind::kRebalance) {
-      continue;
-    }
-    if (d.from_core == exp::ChannelDelivery::kNoCore ||
-        d.to_core == exp::ChannelDelivery::kNoCore) {
-      continue;
-    }
-    const auto it = declared_.find(d.job);
-    if (it != declared_.end()) migrated_in_[d.to_core] += it->second;
-  }
-
   for (std::size_t c = 0; c < samples_.size(); ++c) {
     const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
     const Duration released =
-        endpoint != nullptr ? endpoint->released_cost() - migrated_in_[c]
-                            : Duration::zero();
+        endpoint != nullptr ? endpoint->released_cost() : Duration::zero();
     auto& samples = samples_[c];
     samples.push_back({boundary, released});
     // Drop what no reader's window can reach: the newest sample at least

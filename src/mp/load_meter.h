@@ -6,13 +6,13 @@
 // samples the meter once per boundary, after the fabric drain and the
 // scheduling policy; each reader then asks for the rate over its own period
 // (rebalance_period, overload_period). Online admissions are recorded here,
-// so both readers see an admitted task.
+// so both readers see an admitted task. Work moved between cores is not
+// offered load: the endpoints keep it out of released_cost()
+// (CoreEndpoint::deliver_moved), so the meter reads that signal as is.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/annotations.h"
@@ -36,7 +36,7 @@ class LoadMeter {
   void retain(common::Duration period);
 
   // The boundary hook: records each core's released aperiodic cost at
-  // `boundary`, net of work moved in by re-releasing deliveries.
+  // `boundary`.
   TSF_BARRIER_ONLY
   void sample(common::TimePoint boundary);
 
@@ -63,17 +63,6 @@ class LoadMeter {
   // side is measured, not assumed.
   std::vector<double> periodic_;
   std::vector<std::deque<Sample>> samples_;
-  // Declared cost moved *into* each core by a re-releasing delivery — a
-  // rebalancer kRebalance migration or a semi-policy kSteal, both read from
-  // the fabric ledger. The re-release inflates the receiver's released_cost,
-  // so the measurement subtracts it: moved backlog is not freshly offered
-  // work, and must not manufacture drift (or overload) at its own target.
-  // kPool, kMigrate and kFire deliveries are a job's *first* release on any
-  // core and count as offered load; so do kRebalance admissions
-  // (from_core == kNoCore, a periodic task).
-  std::vector<common::Duration> migrated_in_;
-  std::map<std::string, common::Duration> declared_;  // job -> declared cost
-  std::size_t ledger_seen_ = 0;  // fabric deliveries already accounted
 };
 
 }  // namespace tsf::mp

@@ -1,10 +1,8 @@
 #include "mp/mp_system.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -20,22 +18,6 @@
 namespace tsf::mp {
 
 using common::TimePoint;
-
-const char* to_string(RunEngine engine) {
-  switch (engine) {
-    case RunEngine::kSim:
-      return "sim";
-    case RunEngine::kExec:
-      return "exec";
-  }
-  return "?";
-}
-
-std::optional<RunEngine> parse_run_engine(std::string_view name) {
-  if (name == "sim") return RunEngine::kSim;
-  if (name == "exec") return RunEngine::kExec;
-  return std::nullopt;
-}
 
 // Whether a job is handed to the global shared ready pool instead of any
 // core's static assignment: unpinned and released by time (a triggered job
@@ -81,16 +63,6 @@ std::vector<model::SystemSpec> split_spec(const model::SystemSpec& spec,
   return out;
 }
 
-// How final an outcome is, for the (job, release) dedupe: a served record
-// beats an interrupted or shed one beats an unserved placeholder. A shed
-// outcome is final — the overload policy decided the job's fate, and the
-// record must not be dropped as a shadow of some other core's pending copy.
-static int outcome_rank(const model::JobOutcome& o) {
-  if (o.served) return 2;
-  if (o.interrupted || o.shed) return 1;
-  return 0;
-}
-
 model::RunResult merge_results(const model::SystemSpec& spec,
                                const Partition& partition,
                                const std::vector<model::RunResult>& per_core) {
@@ -98,119 +70,49 @@ model::RunResult merge_results(const model::SystemSpec& spec,
              "one result per core required");
   model::RunResult merged;
 
-  // Dedupe by (job, release): with run-time job movement (work stealing,
-  // pool dispatch) a job can complete on a non-home core while its home
-  // core still reports the same release as unserved — per-core outcomes
-  // are no longer disjoint. The dedupe is strictly *cross-core*: within
-  // one core every record is real (a re-fired triggered job can carry two
-  // releases at the same instant, one served and one still pending), so
-  // nothing a single core reports is ever collapsed. Across cores, an
-  // unserved record is a shadow — of a completed record on another core
-  // (the job was stolen and ran there) or of another core's unserved
-  // record (it was stolen and is still pending there) — and is dropped.
-  using Key = std::pair<std::string, common::TimePoint>;
-  std::map<Key, std::set<std::size_t>> completed_cores;
+  // Every core's facts, concatenated in core order. Each (job, release) is
+  // booked by exactly one core — a request leaves a core's queue either by
+  // a move (booked nothing there, re-released on exactly one other core) or
+  // with its outcome booked on that core — so nothing needs reconciling.
+  // Trace entities are namespaced per core, and each shed/takeover event
+  // (in decision order on its core) gets its deciding core stamped.
+  std::vector<model::JobOutcome> outcomes;
+  std::vector<common::TraceRecord> records;
   for (std::size_t c = 0; c < per_core.size(); ++c) {
-    for (const auto& outcome : per_core[c].jobs) {
-      if (outcome_rank(outcome) > 0) {
-        completed_cores[{outcome.name, outcome.release}].insert(c);
-      }
-    }
-  }
-  std::vector<const model::JobOutcome*> deduped;  // core, then record order
-  std::map<Key, std::size_t> unserved_kept_on;    // key -> first keeping core
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    for (const auto& outcome : per_core[c].jobs) {
-      const Key key{outcome.name, outcome.release};
-      if (outcome_rank(outcome) > 0) {
-        deduped.push_back(&outcome);
-        continue;
-      }
-      const auto done = completed_cores.find(key);
-      if (done != completed_cores.end() &&
-          (done->second.size() > 1 || *done->second.begin() != c)) {
-        continue;  // shadow of a completion on another core
-      }
-      const auto kept = unserved_kept_on.find(key);
-      if (kept != unserved_kept_on.end() && kept->second != c) {
-        continue;  // shadow of another core's unserved record
-      }
-      unserved_kept_on.emplace(key, c);
-      deduped.push_back(&outcome);
-    }
-  }
-
-  // Aperiodic outcomes, restored to the original spec order. One name can
-  // carry several outcomes (a triggered job fired repeatedly): the first
-  // release fills the spec-ordered slot, the rest are appended after it in
-  // name order — deterministic, and the released/served counts stay honest.
-  std::map<std::string, std::vector<const model::JobOutcome*>> by_name;
-  for (const auto* outcome : deduped) {
-    by_name[outcome->name].push_back(outcome);
-  }
-  merged.jobs.reserve(spec.aperiodic_jobs.size());
-  for (const auto& job : spec.aperiodic_jobs) {
-    auto it = by_name.find(job.name);
-    if (it != by_name.end() && !it->second.empty()) {
-      merged.jobs.push_back(*it->second.front());
-      it->second.erase(it->second.begin());
-    } else {
-      // Never ran anywhere: a migratable job with no serving core, or a
-      // triggered job nobody fired (or a core that was never built).
-      model::JobOutcome o;
-      o.name = job.name;
-      o.release = job.release;
-      o.cost = job.cost;
-      merged.jobs.push_back(o);
-    }
-  }
-  for (const auto& [name, extras] : by_name) {
-    for (const auto* outcome : extras) merged.jobs.push_back(*outcome);
-  }
-
-  // Periodic outcomes: stable order — by release, then core, then record
-  // order (std::stable_sort over the concatenation in core order).
-  for (const auto& result : per_core) {
+    const model::RunResult& result = per_core[c];
+    outcomes.insert(outcomes.end(), result.jobs.begin(), result.jobs.end());
     merged.periodic_jobs.insert(merged.periodic_jobs.end(),
                                 result.periodic_jobs.begin(),
                                 result.periodic_jobs.end());
+    const std::string prefix = "c" + std::to_string(c) + "/";
+    for (const auto& r : result.timeline.records()) {
+      records.push_back(r);
+      records.back().who = prefix + r.who;
+    }
+    for (model::ShedEvent event : result.shed_events) {
+      event.core = c;
+      merged.shed_events.push_back(std::move(event));
+    }
+    merged.server_activations += result.server_activations;
+    merged.server_dispatches += result.server_dispatches;
   }
+
+  merged.jobs = exp::in_spec_order(spec.aperiodic_jobs, std::move(outcomes),
+                                   [](const std::string&) { return true; });
+  // Periodic outcomes by release; ties keep core, then record order.
   std::stable_sort(merged.periodic_jobs.begin(), merged.periodic_jobs.end(),
                    [](const model::PeriodicOutcome& a,
                       const model::PeriodicOutcome& b) {
                      return a.release < b.release;
                    });
-
-  // Timelines: namespace entities per core, then stably merge by instant so
-  // simultaneous records keep core order — fully deterministic.
-  std::vector<common::TraceRecord> records;
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    const std::string prefix = "c" + std::to_string(c) + "/";
-    for (const auto& r : per_core[c].timeline.records()) {
-      records.push_back(r);
-      records.back().who = prefix + r.who;
-    }
-  }
+  // Trace records by instant; simultaneous records keep core order — fully
+  // deterministic.
   std::stable_sort(records.begin(), records.end(),
                    [](const common::TraceRecord& a,
                       const common::TraceRecord& b) { return a.at < b.at; });
   for (auto& r : records) {
     merged.timeline.record(r.at, r.kind, std::move(r.who), r.value,
                            std::move(r.note));
-  }
-
-  // The shed/takeover ledger: concatenated in core order (each core's
-  // events are already in decision order), with the deciding core stamped.
-  for (std::size_t c = 0; c < per_core.size(); ++c) {
-    for (model::ShedEvent event : per_core[c].shed_events) {
-      event.core = c;
-      merged.shed_events.push_back(std::move(event));
-    }
-  }
-
-  for (const auto& result : per_core) {
-    merged.server_activations += result.server_activations;
-    merged.server_dispatches += result.server_dispatches;
   }
   return merged;
 }
@@ -269,13 +171,9 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
   for (const auto& job : spec.aperiodic_jobs) {
     const bool pooled = global && pool_scheduled(job);
     if (!job.migrate && !pooled) continue;
-    exp::MigratedJob m;
-    m.name = job.name;
-    m.declared_cost = job.effective_declared_cost();
-    m.actual_cost = exp::jittered_cost(jitter_rng, options.exec, job.cost);
-    m.fires = job.fires;
-    m.value = job.value;
-    m.relative_deadline = job.relative_deadline;
+    exp::MigratedJob m{job.name, job.effective_declared_cost(),
+                       exp::jittered_cost(jitter_rng, options.exec, job.cost),
+                       job.fires, job.value, job.relative_deadline};
     if (pooled) {
       // The pool is a shared structure, not a channel: no channel_latency,
       // only the wait for the first epoch boundary >= release.
@@ -339,26 +237,9 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
     out.overload_passes = governor->passes();
     out.overload_utilization = governor->measured_utilization();
   }
-  // Fold the per-core shed/takeover ledger into the delivery ledger — one
-  // kShed / kTakeover record per event, deciding core on both ends — so the
-  // channel metrics and the invariant checker read a single source.
   for (const auto& event : out.merged.shed_events) {
-    exp::ChannelDelivery d;
-    d.kind = event.kind == model::ShedEvent::Kind::kTakeover
-                 ? exp::ChannelDelivery::Kind::kTakeover
-                 : exp::ChannelDelivery::Kind::kShed;
-    d.job = event.job;
-    d.from_core = event.core;
-    d.to_core = event.core;
-    d.posted = event.release;
-    d.delivered = event.at;
-    d.ok = true;
-    out.channel_deliveries.push_back(std::move(d));
-    if (event.kind == model::ShedEvent::Kind::kTakeover) {
-      ++out.takeovers;
-    } else {
-      ++out.sheds;
-    }
+    ++(event.kind == model::ShedEvent::Kind::kTakeover ? out.takeovers
+                                                       : out.sheds);
   }
   if (options.metrics != nullptr) {
     common::MetricsRegistry& m = *options.metrics;

@@ -13,8 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "analysis/partitioned.h"
@@ -38,9 +36,6 @@ namespace tsf::mp {
 //  * kExec — one RTSJ-style VM per core (implemented policies, lock-step or
 //    threaded time, channel fabric, policies/rebalance/overload live here).
 enum class RunEngine { kSim, kExec };
-
-const char* to_string(RunEngine engine);
-std::optional<RunEngine> parse_run_engine(std::string_view name);
 
 struct MpRunOptions {
   // Which per-core engine runs the partition (see RunEngine).
@@ -87,15 +82,16 @@ std::vector<model::SystemSpec> split_spec(
     const model::SystemSpec& spec, const Partition& partition,
     SchedPolicy policy = SchedPolicy::kPartitioned);
 
-// Merges per-core results: aperiodic outcomes in original spec order,
-// periodic outcomes sorted by (release, task), timelines concatenated with
-// "c<k>/" entity prefixes and stably merged by time, counters summed.
+// Merges per-core results: aperiodic outcomes concatenated in core order
+// and laid out in spec order (exp::in_spec_order; a job no core booked
+// gets a never-ran placeholder), periodic outcomes sorted by (release,
+// task), timelines concatenated with "c<k>/" entity prefixes and stably
+// merged by time, shed/takeover events concatenated in core order with the
+// deciding core stamped, counters summed.
 //
-// Outcomes are NOT per-core-disjoint once jobs move at run time: a stolen
-// job completes on a non-home core while the home core still books the
-// same (job, release) as unserved pending work it lost. The merge
-// deduplicates by (job, release), keeping the most-final outcome
-// (served > interrupted > unserved; ties to the lowest core).
+// Nothing is deduplicated: a job that moves at run time (steal, pool
+// dispatch, rebalance) is booked only by the core it ends on — the core it
+// left books neither an outcome nor a placeholder for that release.
 model::RunResult merge_results(const model::SystemSpec& spec,
                                const Partition& partition,
                                const std::vector<model::RunResult>& per_core);
@@ -118,10 +114,11 @@ struct MpRunResult {
   model::RunResult merged;
   // Cross-core channel traffic (exec path only): every terminal message
   // fate, in delivery order — remote fires and migrations, plus the
-  // scheduling policy's pool dispatches (kPool) and steals (kSteal) — and
-  // how many messages (and undispatched pool jobs) were still in flight at
-  // the horizon. Feed to exp::compute_channel_metrics for the latency
-  // distribution.
+  // scheduling policy's pool dispatches (kPool) and steals (kSteal) and the
+  // rebalancer's moves and admissions (kRebalance) — and how many messages
+  // (and undispatched pool jobs) were still in flight at the horizon. Feed
+  // to exp::compute_channel_metrics for the latency distribution. Sheds
+  // and takeovers are not channel traffic; they are in merged.shed_events.
   std::vector<exp::ChannelDelivery> channel_deliveries;
   std::size_t channel_in_flight = 0;
   // Scheduling-policy counters (zero under the partitioned baseline).
@@ -137,10 +134,10 @@ struct MpRunResult {
   // The last measured per-core utilization sample — the post-rebalance
   // load picture.
   std::vector<double> rebalance_utilization;
-  // Overload-policy results (zero / empty when overload = off). Every shed
-  // and takeover also appears, exactly once each, as a kShed / kTakeover
-  // record in channel_deliveries and in merged.shed_events (core filled
-  // in) — the exactly-once ledger the invariant checker reconciles.
+  // Overload-policy results (zero / empty when overload = off). `sheds`
+  // and `takeovers` count merged.shed_events by kind: every shed and
+  // takeover appears there exactly once (deciding core filled in) — the
+  // exactly-once ledger the invariant checker reconciles.
   std::uint64_t overload_passes = 0;
   std::uint64_t sheds = 0;
   std::uint64_t takeovers = 0;

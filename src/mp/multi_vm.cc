@@ -25,16 +25,6 @@ namespace tsf::mp {
 using common::Duration;
 using common::TimePoint;
 
-const char* to_string(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kLockstep:
-      return "lockstep";
-    case ExecBackend::kThreads:
-      return "threads";
-  }
-  return "?";
-}
-
 std::optional<ExecBackend> parse_exec_backend(std::string_view name) {
   if (name == "lockstep") return ExecBackend::kLockstep;
   if (name == "threads") return ExecBackend::kThreads;

@@ -52,7 +52,6 @@ class SchedPolicyEngine;
 //    completion function runs the boundary step while they are parked.
 enum class ExecBackend { kLockstep, kThreads };
 
-const char* to_string(ExecBackend backend);
 std::optional<ExecBackend> parse_exec_backend(std::string_view name);
 
 // The optional boundary stages, run in this order after the fabric drain:

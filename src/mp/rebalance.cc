@@ -113,11 +113,9 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
     if (target == from_[i]) continue;  // re-packed home: stays put
     auto stolen = fabric_.endpoint(from_[i])->steal(movable_[i].handle);
     if (!stolen.has_value()) continue;  // gone (defensive; VMs paused)
-    fabric_.endpoint(target)->deliver_job(stolen->job, stolen->release);
-    // The meter compensates for this re-release from the ledger record
-    // below at its next sample: the target's released_cost and its
-    // migrated-in cost grow by the same declared cost, so the move is
-    // invisible to every reader of this boundary's sample.
+    // deliver_moved keeps the move out of the target's released_cost, so
+    // the meter never reads moved backlog as load offered to its target.
+    fabric_.endpoint(target)->deliver_moved(*stolen);
     exp::ChannelDelivery d;
     d.kind = exp::ChannelDelivery::Kind::kRebalance;
     d.job = stolen->job.name;

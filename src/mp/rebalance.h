@@ -26,7 +26,8 @@
 //    *existing* FFD/WFD/BFD packer (Partitioner::pack_items) against bins
 //    loaded with the measured utilizations, and each request the packer
 //    sends elsewhere is removed by handle (CoreEndpoint::steal) and
-//    migrates to its re-packed home through the fabric, one move at a time:
+//    re-released on its re-packed home (CoreEndpoint::deliver_moved, which
+//    keeps it out of that core's measured load), one move at a time:
 //    release-preserving like a `semi` steal, recorded exactly once in the
 //    channel ledger as a ChannelDelivery::Kind::kRebalance.
 //

@@ -131,7 +131,7 @@ void SchedPolicyEngine::steal_pass(TimePoint boundary) {
       if (views.empty()) continue;  // nothing eligible; next victim
       auto stolen = source->steal(views[exp::first_scheduled(views)].handle);
       if (!stolen.has_value()) continue;
-      taker->deliver_job(stolen->job, stolen->release);
+      taker->deliver_moved(*stolen);
       ++steals_;
       exp::ChannelDelivery d;
       d.kind = exp::ChannelDelivery::Kind::kSteal;

@@ -14,10 +14,6 @@ using common::TraceKind;
 Simulator::Simulator(model::SystemSpec spec) : spec_(std::move(spec)) {
   trace_.add(&result_.timeline);
   TSF_ASSERT(!spec_.horizon.is_never(), "simulator needs a finite horizon");
-  const auto policy = spec_.server.policy;
-  TSF_ASSERT(policy != model::ServerPolicy::kNone || true,
-             "unreachable");  // every policy is simulatable
-  (void)policy;
 
   arrivals_ = spec_.aperiodic_jobs;
   // Triggered jobs are released only by a cross-core fire, and the
@@ -39,6 +35,7 @@ Simulator::Simulator(model::SystemSpec spec) : spec_(std::move(spec)) {
   next_release_.reserve(spec_.periodic_tasks.size());
   for (const auto& t : spec_.periodic_tasks) next_release_.push_back(t.start);
 
+  const auto policy = spec_.server.policy;
   const bool periodic_replenish = policy == model::ServerPolicy::kPolling ||
                                   policy == model::ServerPolicy::kDeferrable;
   next_replenish_ =

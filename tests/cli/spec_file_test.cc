@@ -547,6 +547,33 @@ TEST(SpecFile, ParsesBatchKey) {
   EXPECT_EQ(plain.config.exec_options.batch, 1);
 }
 
+// Only the polling and deferrable servers open list-of-lists instances: a
+// sporadic or background server on that queue would leave every release
+// queued on the execution engine, so the pair is refused, naming both keys.
+TEST(SpecFile, RejectsListOfListsWithoutInstanceOpeningServer) {
+  for (const std::string policy : {"sporadic", "background"}) {
+    const auto bad = parse_spec("[server]\npolicy=" + policy +
+                                "\ncapacity=2\nperiod=6\n"
+                                "queue=list-of-lists\n[run]\nhorizon=9\n");
+    ASSERT_FALSE(bad.ok()) << policy;
+    ASSERT_EQ(bad.errors.size(), 1u) << policy;
+    EXPECT_NE(bad.errors.front().find("queue = list-of-lists"),
+              std::string::npos)
+        << bad.errors.front();
+    EXPECT_NE(bad.errors.front().find("policy"), std::string::npos)
+        << bad.errors.front();
+    EXPECT_NE(bad.errors.front().find(policy), std::string::npos)
+        << bad.errors.front();
+  }
+  for (const std::string policy : {"polling", "deferrable"}) {
+    EXPECT_TRUE(parse_spec("[server]\npolicy=" + policy +
+                           "\ncapacity=2\nperiod=6\nqueue=list-of-lists\n"
+                           "[run]\nhorizon=9\n")
+                    .ok())
+        << policy;
+  }
+}
+
 TEST(SpecFile, RejectsBadBatchValues) {
   auto bad = parse_spec(
       "[server]\npolicy=none\n[run]\nhorizon=9\nmode=exec\nbatch=0\n");

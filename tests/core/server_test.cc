@@ -380,5 +380,57 @@ TEST(TaskServerBatch, HugeBatchLimitRunsLikeAnyLimitAboveTheBacklog) {
   EXPECT_LT(sixteen.server_dispatches, 6u) << "nothing was batched";
 }
 
+// run_exec has no channel fabric: a handler completing a job with a
+// `fires` target fires that job's event on its own core at once, so the
+// triggered job is released at the firing job's completion instant and
+// served like any other release.
+TEST(ExecRunner, OneCoreFireReleasesTheTriggeredJobAtCompletion) {
+  model::SystemSpec spec;
+  spec.name = "one_core_fire";
+  spec.server.policy = model::ServerPolicy::kDeferrable;
+  spec.server.capacity = tu(4);
+  spec.server.period = tu(6);
+  spec.server.priority = 30;
+  model::AperiodicJobSpec a;
+  a.name = "a";
+  a.release = at_tu(1);
+  a.cost = tu(1);
+  a.fires = "b";
+  spec.aperiodic_jobs.push_back(a);
+  model::AperiodicJobSpec b;
+  b.name = "b";
+  b.cost = tu(1);
+  b.triggered = true;
+  spec.aperiodic_jobs.push_back(b);
+  spec.horizon = at_tu(12);
+
+  const auto result = exp::run_exec(spec);
+  ASSERT_EQ(result.jobs.size(), 2u);
+  const auto& fired = result.jobs[0];
+  const auto& triggered = result.jobs[1];
+  ASSERT_EQ(fired.name, "a");
+  ASSERT_TRUE(fired.served);
+  ASSERT_EQ(triggered.name, "b");
+  EXPECT_EQ(triggered.release, fired.completion);
+  EXPECT_TRUE(triggered.served);
+  EXPECT_GE(triggered.start, fired.completion);
+}
+
+// Only the polling and deferrable servers open list-of-lists instances; the
+// execution engine refuses any other server on that queue instead of
+// running it and serving nothing.
+TEST(ExecRunnerDeathTest, ListOfListsQueueNeedsAnInstanceOpeningServer) {
+  model::SystemSpec spec;
+  spec.name = "lol";
+  spec.server.capacity = tu(2);
+  spec.server.period = tu(6);
+  spec.server.queue = model::QueueDiscipline::kListOfLists;
+  spec.horizon = at_tu(12);
+  spec.server.policy = model::ServerPolicy::kSporadic;
+  EXPECT_DEATH(exp::run_exec(spec), "sporadic");
+  spec.server.policy = model::ServerPolicy::kBackground;
+  EXPECT_DEATH(exp::run_exec(spec), "background");
+}
+
 }  // namespace
 }  // namespace tsf::core

@@ -12,6 +12,7 @@
 #include "common/trace.h"
 #include "gen/generator.h"
 #include "sim/simulator.h"
+#include "support/booking_checks.h"
 
 namespace tsf::mp {
 namespace {
@@ -97,76 +98,13 @@ TEST(SplitSpec, CoreWithoutServerReplicaGetsPolicyNone) {
   }
 }
 
-// Acceptance: the partitioned RTA verdict must agree with running the
-// uniprocessor RTA independently on every split core.
-// Regression for the stealing-era merge: per-core outcomes are no longer
-// disjoint. A job stolen mid-run can leave an unserved shadow with the same
-// (name, release) on its home core (e.g. a partial bookkeeping path, or a
-// steal whose thief recorded the preserved release) — the merge must keep
-// the served record and drop the shadow instead of double-counting the job.
-TEST(MergeResults, DedupesByJobAndRelease) {
+// One core may book several records of one (job, release) — a re-fired
+// triggered job carries two releases at the same instant — and the merge
+// keeps every one: the first fills the job's spec slot, the rest follow
+// the spec-ordered block.
+TEST(MergeResults, KeepsRepeatedCompletionsAndSameInstantReleases) {
   model::SystemSpec spec;
-  spec.name = "dedupe";
-  spec.cores = 2;
-  spec.server.policy = model::ServerPolicy::kPolling;
-  spec.server.capacity = tu(3);
-  spec.server.period = tu(6);
-  model::AperiodicJobSpec stolen;
-  stolen.name = "stolen";
-  stolen.release = at_tu(2);
-  stolen.cost = tu(1);
-  spec.aperiodic_jobs.push_back(stolen);
-  model::AperiodicJobSpec local;
-  local.name = "local";
-  local.release = at_tu(3);
-  local.cost = tu(1);
-  spec.aperiodic_jobs.push_back(local);
-  spec.horizon = at_tu(12);
-  const auto partition = Partitioner().partition(spec);
-
-  // Core 0 (the home core) booked "stolen" as unserved at its release;
-  // core 1 (the thief) actually served it — same (name, release).
-  std::vector<model::RunResult> per_core(2);
-  model::JobOutcome shadow;
-  shadow.name = "stolen";
-  shadow.release = at_tu(2);
-  shadow.cost = tu(1);
-  per_core[0].jobs.push_back(shadow);
-  model::JobOutcome served_local;
-  served_local.name = "local";
-  served_local.release = at_tu(3);
-  served_local.cost = tu(1);
-  served_local.served = true;
-  served_local.start = at_tu(3);
-  served_local.completion = at_tu(4);
-  per_core[0].jobs.push_back(served_local);
-  model::JobOutcome served_stolen;
-  served_stolen.name = "stolen";
-  served_stolen.release = at_tu(2);
-  served_stolen.cost = tu(1);
-  served_stolen.served = true;
-  served_stolen.start = at_tu(5);
-  served_stolen.completion = at_tu(6);
-  per_core[1].jobs.push_back(served_stolen);
-
-  const auto merged = merge_results(spec, partition, per_core);
-  ASSERT_EQ(merged.jobs.size(), 2u) << "shadow outcome survived the merge";
-  EXPECT_EQ(merged.jobs[0].name, "stolen");
-  EXPECT_TRUE(merged.jobs[0].served) << "merge kept the shadow, not the"
-                                        " served record";
-  EXPECT_EQ(merged.jobs[0].completion, at_tu(6));
-  EXPECT_EQ(merged.jobs[1].name, "local");
-  EXPECT_TRUE(merged.jobs[1].served);
-}
-
-// The dedupe is strictly cross-core: two unserved shadows of one lost
-// release on *different* cores collapse to a single record, but within one
-// core nothing is merged — two genuine completions of a re-fired release,
-// or two same-instant pending releases, are both kept (a core never lies
-// about its own bookkeeping).
-TEST(MergeResults, KeepsRepeatedCompletionsButCollapsesShadows) {
-  model::SystemSpec spec;
-  spec.name = "dedupe2";
+  spec.name = "repeats";
   spec.cores = 2;
   spec.server.policy = model::ServerPolicy::kPolling;
   spec.server.capacity = tu(3);
@@ -179,34 +117,26 @@ TEST(MergeResults, KeepsRepeatedCompletionsButCollapsesShadows) {
   spec.horizon = at_tu(12);
   const auto partition = Partitioner().partition(spec);
 
+  model::JobOutcome done;
+  done.name = "j";
+  done.release = at_tu(1);
+  done.cost = tu(1);
+  done.served = true;
+  done.start = at_tu(2);
+  done.completion = at_tu(3);
   {
+    // Two genuine completions of one re-fired release on one core.
     std::vector<model::RunResult> per_core(2);
-    for (auto& result : per_core) {
-      model::JobOutcome shadow;
-      shadow.name = "j";
-      shadow.release = at_tu(1);
-      shadow.cost = tu(1);
-      result.jobs.push_back(shadow);
-    }
-    const auto merged = merge_results(spec, partition, per_core);
-    ASSERT_EQ(merged.jobs.size(), 1u);
-    EXPECT_FALSE(merged.jobs[0].served);
-  }
-  {
-    std::vector<model::RunResult> per_core(2);
-    for (auto& result : per_core) {
-      model::JobOutcome done;
-      done.name = "j";
-      done.release = at_tu(1);
-      done.cost = tu(1);
-      done.served = true;
-      done.start = at_tu(2);
-      done.completion = at_tu(3);
-      result.jobs.push_back(done);
-    }
+    per_core[0].jobs.push_back(done);
+    model::JobOutcome again = done;
+    again.start = at_tu(3);
+    again.completion = at_tu(4);
+    per_core[0].jobs.push_back(again);
     const auto merged = merge_results(spec, partition, per_core);
     ASSERT_EQ(merged.jobs.size(), 2u)
-        << "a genuine repeated completion must not be deduped";
+        << "a genuine repeated completion must be kept";
+    EXPECT_EQ(merged.jobs[0].completion, at_tu(3));
+    EXPECT_EQ(merged.jobs[1].completion, at_tu(4));
   }
   {
     // One core, two same-instant releases of a re-fired job: one served,
@@ -214,13 +144,6 @@ TEST(MergeResults, KeepsRepeatedCompletionsButCollapsesShadows) {
     // an unconditional (name, release) dedupe used to swallow the pending
     // one and under-report the released count).
     std::vector<model::RunResult> per_core(2);
-    model::JobOutcome done;
-    done.name = "j";
-    done.release = at_tu(1);
-    done.cost = tu(1);
-    done.served = true;
-    done.start = at_tu(2);
-    done.completion = at_tu(3);
     per_core[0].jobs.push_back(done);
     model::JobOutcome pending;
     pending.name = "j";
@@ -229,15 +152,16 @@ TEST(MergeResults, KeepsRepeatedCompletionsButCollapsesShadows) {
     per_core[0].jobs.push_back(pending);
     const auto merged = merge_results(spec, partition, per_core);
     ASSERT_EQ(merged.jobs.size(), 2u)
-        << "same-core same-instant releases are distinct, not shadows";
+        << "same-core same-instant releases are distinct records";
     EXPECT_TRUE(merged.jobs[0].served);
     EXPECT_FALSE(merged.jobs[1].served);
   }
 }
 
 // End-to-end: a rebalanced run (drift mode) whose migrated jobs complete on
-// their *new* home cores leaves no unserved shadow in the merge — the
-// (job, release) dedupe holds for kRebalance moves exactly as for steals.
+// their *new* home cores books each moved release on one core only, so the
+// merge holds one outcome per (job, release) — for kRebalance moves exactly
+// as for steals.
 TEST(MergeResults, RebalancedJobCompletingOnNewHomeLeavesNoShadow) {
   model::SystemSpec spec;
   spec.name = "rebalance_dedupe";
@@ -267,6 +191,7 @@ TEST(MergeResults, RebalancedJobCompletingOnNewHomeLeavesNoShadow) {
   const auto run = mp::run(spec, options);
   ASSERT_GT(run.rebalance_migrations, 0u)
       << "the workload must actually trigger rebalance migrations";
+  EXPECT_EQ(testing::find_cross_core_booking(run.per_core), "");
 
   std::map<std::pair<std::string, TimePoint>, std::size_t> outcomes;
   for (const auto& o : run.merged.jobs) ++outcomes[{o.name, o.release}];
@@ -276,7 +201,7 @@ TEST(MergeResults, RebalancedJobCompletingOnNewHomeLeavesNoShadow) {
     migrated.insert(d.job);
     const auto key = std::make_pair(d.job, d.posted);
     ASSERT_EQ(outcomes[key], 1u)
-        << d.job << ": the home core's unserved shadow survived the merge";
+        << d.job << ": a moved release is booked more than once";
   }
   EXPECT_FALSE(migrated.empty());
   // And at least one migrated job was actually served on its new home.
@@ -311,6 +236,7 @@ TEST(MergeResults, StolenJobHasExactlyOneMergedOutcome) {
   options.quantum = Duration::from_tu(0.5);
   const auto run = mp::run(spec, options);
   ASSERT_GT(run.steals, 0u) << "workload must actually trigger a steal";
+  EXPECT_EQ(testing::find_cross_core_booking(run.per_core), "");
   ASSERT_EQ(run.merged.jobs.size(), spec.aperiodic_jobs.size());
   std::set<std::string> names;
   for (const auto& outcome : run.merged.jobs) {
@@ -320,6 +246,8 @@ TEST(MergeResults, StolenJobHasExactlyOneMergedOutcome) {
   }
 }
 
+// Acceptance: the partitioned RTA verdict must agree with running the
+// uniprocessor RTA independently on every split core.
 TEST(MpFeasibility, AgreesWithPerCoreSingleVmRta) {
   gen::MpGeneratorParams params;
   params.cores = 4;
@@ -427,6 +355,7 @@ TEST(MpRun, ScenarioPeriodicsMeetDeadlinesOnAllCores) {
 TEST(MpRun, UtilizationGaugeIsEachCoresBusyFraction) {
   const auto spec = scenario_spec(2);
   for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
+    SCOPED_TRACE(backend == ExecBackend::kThreads ? "threads" : "lockstep");
     common::MetricsRegistry registry;
     MpRunOptions options;
     options.backend = backend;
@@ -447,7 +376,7 @@ TEST(MpRun, UtilizationGaugeIsEachCoresBusyFraction) {
       EXPECT_EQ(registry.gauge("mp.core." + std::to_string(c) +
                                ".utilization"),
                 static_cast<double>(busy) / horizon_ticks)
-          << to_string(backend) << " core " << c;
+          << "core " << c;
     }
   }
 }

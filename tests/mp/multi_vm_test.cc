@@ -420,21 +420,22 @@ TEST(MultiVmDeterminism, CrossCoreFiresPostInCoreThenPostOrder) {
 
   std::vector<std::uint64_t> fingerprints;
   for (const auto backend : {ExecBackend::kLockstep, ExecBackend::kThreads}) {
+    SCOPED_TRACE(backend == ExecBackend::kThreads ? "threads" : "lockstep");
     MpRunOptions options;
     options.quantum = tu(10);
     options.backend = backend;
     const auto run = mp::run(spec, options);
     const auto& d = run.channel_deliveries;
-    ASSERT_EQ(d.size(), 4u) << to_string(backend);
+    ASSERT_EQ(d.size(), 4u);
     const std::size_t from[] = {0, 0, 1, 1};
     for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i].from_core, from[i]) << to_string(backend) << " #" << i;
+      EXPECT_EQ(d[i].from_core, from[i]) << "#" << i;
       EXPECT_EQ(d[i].to_core, 2u);
       EXPECT_TRUE(d[i].ok);
       EXPECT_EQ(d[i].delivered, at_tu(10));
     }
-    EXPECT_LT(d[0].posted, d[1].posted) << to_string(backend);
-    EXPECT_LT(d[2].posted, d[3].posted) << to_string(backend);
+    EXPECT_LT(d[0].posted, d[1].posted);
+    EXPECT_LT(d[2].posted, d[3].posted);
     EXPECT_LT(d[3].posted, d[0].posted) << "core 1 must fire first";
     fingerprints.push_back(common::fingerprint(run.merged.timeline));
   }

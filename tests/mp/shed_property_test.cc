@@ -8,7 +8,8 @@
 //     work, never serve shed work, exactly-once shed ledger, no admitted
 //     deadline miss while sheddable work was served;
 //   * outcome/ledger reconciliation — a job is never both served and shed,
-//     every shed outcome has exactly one kShed ledger event and vice versa;
+//     every shed outcome has exactly one kShed ledger event and vice versa,
+//     and no (job, release) is booked by two cores;
 //   * determinism — rerunning the same cell reproduces the trace
 //     fingerprint bit-for-bit (checked 3x on a rotating subset so the suite
 //     stays inside the mp-label time budget).
@@ -28,6 +29,7 @@
 #include "gen/storms.h"
 #include "mp/mp_system.h"
 #include "mp/overload.h"
+#include "support/booking_checks.h"
 
 namespace tsf::mp {
 namespace {
@@ -75,6 +77,8 @@ TEST(ShedProperty, StormSeedsUnderAllModesKeepTheContract) {
           << violations.size() << " violation(s), first: "
           << violations.front().name << " (" << violations.front().detail
           << ")";
+
+      EXPECT_EQ(testing::find_cross_core_booking(run.per_core), "");
 
       // Outcome-level: shed work is never served and vice versa.
       std::set<std::pair<std::string, std::int64_t>> shed_outcomes;

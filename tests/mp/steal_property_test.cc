@@ -12,8 +12,9 @@
 //       dispatch batch, records leave in schedules_before order;
 //   S4  steal count == steal-record count (and pool dispatches == pool
 //       records): the counters and the delivery ledger never drift apart;
-//   S5  merged outcomes carry no duplicate (name, release) shadows —
-//       the merge_results dedupe holds under arbitrary stealing.
+//   S5  each (name, release) is booked by one core — a steal books
+//       nothing on the victim and re-releases the request on the thief
+//       alone — so the merged outcomes hold one record per key.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 
 #include "common/rng.h"
 #include "mp/mp_system.h"
+#include "support/booking_checks.h"
 
 namespace tsf::mp {
 namespace {
@@ -99,9 +101,10 @@ void check_invariants(const model::SystemSpec& spec, const MpRunResult& run,
     outcomes[{o.name, o.release}].push_back(&o);
   }
 
-  // S5: no duplicate (name, release) records unless both are completions
-  // (a re-fired triggered job) — and this workload has no triggered jobs,
-  // so exactly one record per key.
+  // S5: no (name, release) is booked by two cores, and — this workload has
+  // no triggered jobs to re-fire — the merge holds exactly one record per
+  // key.
+  EXPECT_EQ(testing::find_cross_core_booking(run.per_core), "") << label;
   for (const auto& [key, records] : outcomes) {
     EXPECT_EQ(records.size(), 1u)
         << label << ": " << key.first << " released at "
