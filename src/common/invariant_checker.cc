@@ -4,6 +4,18 @@
 
 namespace tsf::common {
 
+namespace {
+
+// "core C job J release R": the head of every violation's text.
+std::string job_context(std::size_t core, std::string_view job,
+                        std::int64_t release) {
+  std::ostringstream out;
+  out << "core " << core << " job " << job << " release " << release;
+  return out.str();
+}
+
+}  // namespace
+
 InvariantChecker::InvariantChecker() = default;
 InvariantChecker::~InvariantChecker() = default;
 
@@ -71,9 +83,13 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
   const bool firm = it->second > 0;
   auto& state = jobs_[Key{core, std::string(who), value}];
 
-  std::ostringstream ctx;
-  ctx << "core " << core << " job " << who << " release " << value
-      << " at t=" << at.ticks() << " ticks";
+  // Almost every check passes, so the text is built only for a violation.
+  const auto ctx = [&] {
+    std::ostringstream out;
+    out << job_context(core, who, value) << " at t=" << at.ticks()
+        << " ticks";
+    return out.str();
+  };
 
   switch (kind) {
     case TraceKind::kAdmit:
@@ -87,11 +103,11 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
     case TraceKind::kShed:
       if (state.admitted) {
         add_violation(kShedAdmittedWork,
-                      ctx.str() + ": shed while in the privileged set");
+                      ctx() + ": shed while in the privileged set");
       }
       if (state.completed) {
         add_violation(kShedAdmittedWork,
-                      ctx.str() + ": shed after it already completed");
+                      ctx() + ": shed after it already completed");
       }
       ++state.shed_count;
       (void)note;
@@ -100,7 +116,7 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
     case TraceKind::kAbort:
       if (state.shed_count > 0) {
         add_violation(kServeAfterShed,
-                      ctx.str() + ": dispatched after being shed");
+                      ctx() + ": dispatched after being shed");
       }
       if (!state.completed) {
         state.completed = true;
@@ -125,24 +141,22 @@ std::vector<InvariantChecker::Violation> InvariantChecker::finish() {
     const std::int64_t rel =
         deadline_it == deadlines_.end() ? 0 : deadline_it->second;
 
-    std::ostringstream ctx;
-    ctx << "core " << core << " job " << name << " release " << release;
-
     // Exactly-once ledger: every kShed trace record has one non-takeover
     // ledger entry, and neither side may duplicate.
     if (state.shed_count != state.ledger_sheds) {
       std::ostringstream d;
-      d << ctx.str() << ": " << state.shed_count << " shed record(s) vs "
-        << state.ledger_sheds << " ledger entr(ies)";
+      d << job_context(core, name, release) << ": " << state.shed_count
+        << " shed record(s) vs " << state.ledger_sheds << " ledger entr(ies)";
       add_violation(kShedLedgerMismatch, d.str());
     } else if (state.shed_count > 1) {
       std::ostringstream d;
-      d << ctx.str() << ": shed " << state.shed_count << " times";
+      d << job_context(core, name, release) << ": shed " << state.shed_count
+        << " times";
       add_violation(kShedLedgerMismatch, d.str());
     }
     if (state.ledger_takeovers > 1) {
       std::ostringstream d;
-      d << ctx.str() << ": " << state.ledger_takeovers
+      d << job_context(core, name, release) << ": " << state.ledger_takeovers
         << " takeover ledger entries";
       add_violation(kShedLedgerMismatch, d.str());
     }
@@ -161,7 +175,8 @@ std::vector<InvariantChecker::Violation> InvariantChecker::finish() {
     for (const auto& [when, served_name] : served_it->second) {
       if (when > state.last_admit && when <= deadline) {
         std::ostringstream d;
-        d << ctx.str() << ": missed deadline t=" << deadline.ticks()
+        d << job_context(core, name, release)
+          << ": missed deadline t=" << deadline.ticks()
           << " ticks while sheddable job " << served_name << " completed at t="
           << when.ticks() << " ticks";
         add_violation(kAdmittedDeadlineMiss, d.str());

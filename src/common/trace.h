@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -88,10 +89,16 @@ class TraceSink {
                       std::int64_t value = 0, std::string_view note = {}) = 0;
 };
 
+// The materialized trace: every record, in arrival order. record() copies
+// the names in. A builder that makes each record's strings itself and
+// knows the total up front (mp::merge_results, which builds every "c<k>/"
+// name) reserves once and appends each record by move.
 class Timeline : public TraceSink {
  public:
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
+  void append(TraceRecord record) { records_.push_back(std::move(record)); }
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }

@@ -231,7 +231,8 @@ TaskServer::DispatchResult TaskServer::dispatch_batch(
 }
 
 std::vector<model::JobOutcome> TaskServer::final_outcomes() {
-  std::vector<model::JobOutcome> out = outcomes_;
+  std::vector<model::JobOutcome> out = std::move(outcomes_);
+  outcomes_.clear();
   for (const Request& r : queue_->drain()) {
     model::JobOutcome o;
     o.name = r.handler->name();

@@ -114,10 +114,9 @@ class TaskServer : public rtsj::Schedulable, public rtsj::Scheduler {
   std::uint64_t interrupted_count() const { return interrupted_; }
   std::uint64_t activation_count() const { return activations_; }
   std::uint64_t dispatch_count() const { return dispatches_; }
-  // Outcomes of all completed (served or interrupted) requests so far.
-  const std::vector<model::JobOutcome>& outcomes() const { return outcomes_; }
-  // outcomes() plus everything still pending, marked unserved. Destructive
-  // on the queue; call once, after the run.
+  // Outcomes of every completed (served or interrupted) request, then
+  // everything still pending, marked unserved. Moves the outcomes out and
+  // drains the queue; call once, after the run.
   std::vector<model::JobOutcome> final_outcomes();
 
   // --- Schedulable ---

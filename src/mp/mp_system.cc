@@ -1,8 +1,10 @@
 #include "mp/mp_system.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
 #include <utility>
 
@@ -63,6 +65,50 @@ std::vector<model::SystemSpec> split_spec(const model::SystemSpec& spec,
   return out;
 }
 
+// Interleaves the per-core timelines into `out` by (instant, core), each
+// record's entity prefixed "c<k>/". Every engine emits its timeline in time
+// order, so one k-way pass gives exactly the order a stable sort of the
+// core-order concatenation by instant would: a min-queue holds each core's
+// next (instant, core), and the core on top hands over its run of records
+// that precede every other core's head. A core whose timeline goes back in
+// time breaks that premise, and panics here naming the core and the record.
+static void interleave_timelines(
+    const std::vector<model::RunResult>& per_core, common::Timeline* out) {
+  using Head = std::pair<TimePoint, std::size_t>;
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
+  std::vector<std::string> prefixes;
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    const auto& records = per_core[c].timeline.records();
+    total += records.size();
+    prefixes.push_back("c" + std::to_string(c) + "/");
+    if (!records.empty()) heads.emplace(records.front().at, c);
+  }
+  out->reserve(total);
+  std::vector<std::size_t> next(per_core.size(), 0);
+  while (!heads.empty()) {
+    const std::size_t c = heads.top().second;
+    heads.pop();
+    const auto& records = per_core[c].timeline.records();
+    std::size_t& i = next[c];
+    do {
+      const common::TraceRecord& r = records[i];
+      TSF_ASSERT(i == 0 || records[i - 1].at <= r.at,
+                 "core " << c << "'s trace is out of time order: record " << i
+                         << " (" << common::to_string(r.kind) << " " << r.who
+                         << " at " << r.at << ") follows one at "
+                         << records[i - 1].at);
+      std::string who;
+      who.reserve(prefixes[c].size() + r.who.size());
+      who.append(prefixes[c]).append(r.who);
+      out->append({r.at, r.kind, std::move(who), r.value, r.note});
+      ++i;
+    } while (i < records.size() &&
+             (heads.empty() || Head{records[i].at, c} < heads.top()));
+    if (i < records.size()) heads.emplace(records[i].at, c);
+  }
+}
+
 model::RunResult merge_results(const model::SystemSpec& spec,
                                const Partition& partition,
                                const std::vector<model::RunResult>& per_core) {
@@ -74,21 +120,15 @@ model::RunResult merge_results(const model::SystemSpec& spec,
   // booked by exactly one core — a request leaves a core's queue either by
   // a move (booked nothing there, re-released on exactly one other core) or
   // with its outcome booked on that core — so nothing needs reconciling.
-  // Trace entities are namespaced per core, and each shed/takeover event
-  // (in decision order on its core) gets its deciding core stamped.
+  // Each shed/takeover event (in decision order on its core) gets its
+  // deciding core stamped.
   std::vector<model::JobOutcome> outcomes;
-  std::vector<common::TraceRecord> records;
   for (std::size_t c = 0; c < per_core.size(); ++c) {
     const model::RunResult& result = per_core[c];
     outcomes.insert(outcomes.end(), result.jobs.begin(), result.jobs.end());
     merged.periodic_jobs.insert(merged.periodic_jobs.end(),
                                 result.periodic_jobs.begin(),
                                 result.periodic_jobs.end());
-    const std::string prefix = "c" + std::to_string(c) + "/";
-    for (const auto& r : result.timeline.records()) {
-      records.push_back(r);
-      records.back().who = prefix + r.who;
-    }
     for (model::ShedEvent event : result.shed_events) {
       event.core = c;
       merged.shed_events.push_back(std::move(event));
@@ -105,15 +145,7 @@ model::RunResult merge_results(const model::SystemSpec& spec,
                       const model::PeriodicOutcome& b) {
                      return a.release < b.release;
                    });
-  // Trace records by instant; simultaneous records keep core order — fully
-  // deterministic.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const common::TraceRecord& a,
-                      const common::TraceRecord& b) { return a.at < b.at; });
-  for (auto& r : records) {
-    merged.timeline.record(r.at, r.kind, std::move(r.who), r.value,
-                           std::move(r.note));
-  }
+  interleave_timelines(per_core, &merged.timeline);
   return merged;
 }
 

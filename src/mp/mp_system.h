@@ -85,9 +85,12 @@ std::vector<model::SystemSpec> split_spec(
 // Merges per-core results: aperiodic outcomes concatenated in core order
 // and laid out in spec order (exp::in_spec_order; a job no core booked
 // gets a never-ran placeholder), periodic outcomes sorted by (release,
-// task), timelines concatenated with "c<k>/" entity prefixes and stably
-// merged by time, shed/takeover events concatenated in core order with the
-// deciding core stamped, counters summed.
+// task), shed/takeover events concatenated in core order with the deciding
+// core stamped, counters summed. The timelines are interleaved in one k-way
+// pass by (instant, core), with "c<k>/" entity prefixes: simultaneous
+// records keep core order, then each core's own order. Each per-core
+// timeline must be in time order, as every engine emits it; one that is not
+// panics, naming the core and the record.
 //
 // Nothing is deduplicated: a job that moves at run time (steal, pool
 // dispatch, rebalance) is booked only by the core it ends on — the core it

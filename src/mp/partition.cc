@@ -1,6 +1,9 @@
 #include "mp/partition.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <numeric>
+#include <utility>
 
 #include "common/diag.h"
 
@@ -42,22 +45,11 @@ double Partition::total_utilization() const {
 
 std::vector<int> Partitioner::pack_items(
     const std::vector<PartitionItem>& items, std::vector<double>& loads) const {
-  // Decreasing utilization, ties in item order: (-u, index) keys sort to
-  // exactly the order a stable sort on utilization gives.
-  std::vector<std::pair<double, std::size_t>> order(items.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = {-items[i].utilization, i};
-  }
-  std::sort(order.begin(), order.end());
-  const int cores = static_cast<int>(loads.size());
   std::vector<int> placement(items.size(), -1);
-  if (order.empty() || loads.empty()) return placement;
-  const double smallest = -order.back().first;
-  for (const auto& key : order) {
-    // Loads only grow and items only shrink from here on, so once the
-    // emptiest bin cannot take the smallest item nothing else fits.
-    if (!fits(*std::min_element(loads.begin(), loads.end()), smallest)) break;
-    const std::size_t i = key.second;
+  if (items.empty() || loads.empty()) return placement;
+  const int cores = static_cast<int>(loads.size());
+  // Puts item i on the bin the strategy picks; false if none has room.
+  const auto place = [&](std::size_t i) {
     const PartitionItem& item = items[i];
     int chosen = -1;
     if (item.affinity >= 0) {
@@ -90,9 +82,65 @@ std::vector<int> Partitioner::pack_items(
           break;
       }
     }
-    if (chosen < 0) continue;
+    if (chosen < 0) return false;
     placement[i] = chosen;
     loads[static_cast<std::size_t>(chosen)] += item.utilization;
+    return true;
+  };
+
+  // Selection rounds. Loads only grow, so an item no bin can take now never
+  // fits later, and the decreasing-utilization loop below always places
+  // the largest remaining item that fits now (ties: lowest index). An
+  // unpinned item fits iff the emptiest bin can take it, a pinned one iff
+  // its own bin can. So each round is one pass over the remaining items
+  // (kept in index order) that drops every item that no longer fits and
+  // places that largest item: a re-pack that places a handful of a large
+  // backlog costs a handful of passes, not a sort.
+  std::vector<std::size_t> left(items.size());
+  std::iota(left.begin(), left.end(), std::size_t{0});
+  std::size_t rounds = 1;  // ceil(log2 n) + 1
+  for (std::size_t span = 1; span < items.size(); span *= 2) ++rounds;
+  for (; rounds > 0 && !left.empty(); --rounds) {
+    const double emptiest = *std::min_element(loads.begin(), loads.end());
+    std::size_t kept = 0;
+    std::size_t best = 0;  // position in `left` once kept > 0
+    for (const std::size_t i : left) {
+      const PartitionItem& item = items[i];
+      const bool room =
+          item.affinity < 0
+              ? fits(emptiest, item.utilization)
+              : item.affinity < cores &&
+                    fits(loads[static_cast<std::size_t>(item.affinity)],
+                         item.utilization);
+      if (!room) continue;  // dropped for good
+      if (kept > 0 && item.utilization > items[left[best]].utilization) {
+        best = kept;
+      }
+      left[kept++] = i;
+    }
+    left.resize(kept);
+    if (kept == 0) break;
+    const bool placed = place(left[best]);
+    TSF_ASSERT(placed, "item " << left[best] << " fits but found no bin");
+    left.erase(left.begin() + static_cast<std::ptrdiff_t>(best));
+  }
+
+  // Whatever the rounds leave (only when they ran out) goes through the
+  // classic loop, which keeps the call O(n log n): decreasing utilization,
+  // ties in item order — (-u, index) keys sort to exactly the order a
+  // stable sort on utilization gives — stopping once the emptiest bin
+  // cannot take the smallest item, since loads only grow and items only
+  // shrink from there on.
+  std::vector<std::pair<double, std::size_t>> order;
+  order.reserve(left.size());
+  for (const std::size_t i : left) {
+    order.emplace_back(-items[i].utilization, i);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& key : order) {
+    const double smallest = -order.back().first;
+    if (!fits(*std::min_element(loads.begin(), loads.end()), smallest)) break;
+    place(key.second);
   }
   return placement;
 }

@@ -88,6 +88,13 @@ class Partitioner {
   // chosen bin per item in the *original* item order; -1 marks an item that
   // fits nowhere. An item with affinity >= 0 is only ever placed on that
   // bin. A bin can be excluded by handing it a load >= 1.0.
+  //
+  // Placements are found by selection, not by sorting: since loads only
+  // grow, the next item that order places is the largest one that fits
+  // now, so each of the first ceil(log2 n) + 1 placements is one pass that
+  // also drops every item that no longer fits. Whatever is still left
+  // after those is sorted and placed in turn. Placing k of n items costs
+  // O(n * k) while k <= ceil(log2 n) + 1, and O(n log n) beyond.
   std::vector<int> pack_items(const std::vector<PartitionItem>& items,
                               std::vector<double>& loads) const;
 

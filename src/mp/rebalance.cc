@@ -87,20 +87,19 @@ bool Rebalancer::migrate_pass(TimePoint boundary) {
   // utilization, a pending request weighs its declared cost per server
   // period (the unit server replicas are sized in), and cores without a
   // server replica are excluded via an over-capacity load.
-  std::vector<double> bins;
-  bins.reserve(fabric_.cores());
+  bins_.clear();
   for (std::size_t c = 0; c < fabric_.cores(); ++c) {
     const exp::CoreEndpoint* endpoint = fabric_.endpoint(c);
     const bool serving = endpoint != nullptr && endpoint->serves_aperiodics();
-    bins.push_back(serving ? measured_[c] : 2.0);
+    bins_.push_back(serving ? measured_[c] : 2.0);
   }
   const double service_period =
       spec_.server.period.is_zero() ? 1.0 : spec_.server.period.to_tu();
-  std::vector<PartitionItem> items(movable_.size());
+  items_.resize(movable_.size());
   for (std::size_t i = 0; i < movable_.size(); ++i) {
-    items[i].utilization = movable_[i].declared_cost.to_tu() / service_period;
+    items_[i].utilization = movable_[i].declared_cost.to_tu() / service_period;
   }
-  const std::vector<int> placement = packer_.pack_items(items, bins);
+  const std::vector<int> placement = packer_.pack_items(items_, bins_);
 
   // Only the requests the packer sent to a *different* core are removed
   // from their queues; everything else was never touched — no phantom

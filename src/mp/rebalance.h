@@ -129,9 +129,12 @@ class Rebalancer {
   std::vector<double> measured_;
   std::vector<Rejection> rejected_;  // offline rejections not yet admitted
   // migrate_pass scratch, kept so a pass reuses the last one's capacity:
-  // the movable requests and the core each one is pending on.
+  // the movable requests, the core each one is pending on, and the re-pack's
+  // items (one per movable request) and bins (one per core).
   std::vector<exp::PendingView> movable_;
   std::vector<std::size_t> from_;
+  std::vector<PartitionItem> items_;
+  std::vector<double> bins_;
   common::TimePoint last_pass_ = common::TimePoint::origin();
   std::uint64_t passes_ = 0;
   std::uint64_t migrations_ = 0;

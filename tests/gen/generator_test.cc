@@ -217,7 +217,9 @@ TEST(MpGenerator, HitsPerCoreUtilizationTarget) {
     for (const auto& b : spec.periodic_tasks) {
       if (&a == &b) continue;
       EXPECT_NE(a.name, b.name);
-      if (a.period < b.period) EXPECT_GT(a.priority, b.priority);
+      if (a.period < b.period) {
+        EXPECT_GT(a.priority, b.priority);
+      }
     }
     EXPECT_LT(a.priority, spec.server.priority);
   }

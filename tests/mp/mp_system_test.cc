@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/rta.h"
+#include "common/rng.h"
 #include "common/trace.h"
 #include "gen/generator.h"
 #include "sim/simulator.h"
@@ -246,6 +251,106 @@ TEST(MergeResults, StolenJobHasExactlyOneMergedOutcome) {
   }
 }
 
+// The timeline merge as it was before the k-way interleave, kept verbatim
+// as the reference: concatenate the per-core records in core order with
+// their "c<k>/" prefixes, stable-sort by instant, re-record.
+common::Timeline stable_sort_merge(
+    const std::vector<model::RunResult>& per_core) {
+  std::vector<common::TraceRecord> records;
+  for (std::size_t c = 0; c < per_core.size(); ++c) {
+    const std::string prefix = "c" + std::to_string(c) + "/";
+    for (const auto& r : per_core[c].timeline.records()) {
+      records.push_back(r);
+      records.back().who = prefix + r.who;
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const common::TraceRecord& a,
+                      const common::TraceRecord& b) { return a.at < b.at; });
+  common::Timeline merged;
+  for (auto& r : records) {
+    merged.record(r.at, r.kind, std::move(r.who), r.value,
+                  std::move(r.note));
+  }
+  return merged;
+}
+
+// A string of `length` letters: names and notes on both sides of the
+// small-string buffer.
+std::string random_text(common::Rng& rng, std::int64_t length) {
+  std::string out;
+  for (std::int64_t i = 0; i < length; ++i) {
+    out.push_back(static_cast<char>('a' + rng.uniform_i64(0, 25)));
+  }
+  return out;
+}
+
+model::SystemSpec cores_only_spec(int cores) {
+  model::SystemSpec spec;
+  spec.name = "merge";
+  spec.cores = cores;
+  spec.server.policy = model::ServerPolicy::kNone;
+  spec.horizon = at_tu(10);
+  return spec;
+}
+
+// The k-way interleave by (instant, core) gives exactly the stable sort's
+// order: random per-core timelines, some empty, whose instants advance in
+// small steps or not at all, so equal instants run within and across cores.
+TEST(MergeResults, MatchesTheStableSortReference) {
+  const auto kinds = static_cast<std::int64_t>(common::kTraceKindCount);
+  for (std::uint64_t seed = 0; seed < 600; ++seed) {
+    common::Rng rng(seed);
+    const int cores = static_cast<int>(rng.uniform_i64(1, 6));
+    const auto spec = cores_only_spec(cores);
+    const auto partition = Partitioner().partition(spec);
+    std::vector<model::RunResult> per_core(static_cast<std::size_t>(cores));
+    for (auto& core : per_core) {
+      if (rng.next_double() < 0.2) continue;  // an idle core
+      std::int64_t ticks = rng.uniform_i64(0, 3);
+      const std::int64_t count = rng.uniform_i64(1, 60);
+      for (std::int64_t i = 0; i < count; ++i) {
+        if (rng.next_double() < 0.5) ticks += rng.uniform_i64(1, 3);
+        const auto kind =
+            static_cast<common::TraceKind>(rng.uniform_i64(0, kinds - 1));
+        const std::string who = random_text(rng, rng.uniform_i64(1, 24));
+        const std::int64_t value = rng.uniform_i64(-5, 5);
+        const std::string note = rng.next_double() < 0.5
+                                     ? ""
+                                     : random_text(rng, rng.uniform_i64(1, 30));
+        core.timeline.record(TimePoint::at_ticks(ticks), kind, who, value,
+                             note);
+      }
+    }
+    const auto merged = merge_results(spec, partition, per_core);
+    const auto want = stable_sort_merge(per_core);
+    const auto& got = merged.timeline.records();
+    ASSERT_EQ(got.size(), want.records().size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const auto& g = got[i];
+      const auto& w = want.records()[i];
+      ASSERT_TRUE(g.at == w.at && g.kind == w.kind && g.who == w.who &&
+                  g.value == w.value && g.note == w.note)
+          << "seed " << seed << ", record " << i << ": got " << g.who << " at "
+          << g.at << ", want " << w.who << " at " << w.at;
+    }
+  }
+}
+
+// The merge relies on each core's timeline being in time order; one that
+// goes back in time panics, naming the core and the record.
+TEST(MergeResultsDeathTest, CoreTraceOutOfTimeOrderPanics) {
+  const auto spec = cores_only_spec(2);
+  const auto partition = Partitioner().partition(spec);
+  std::vector<model::RunResult> per_core(2);
+  per_core[0].timeline.record(at_tu(1), common::TraceKind::kRelease, "a");
+  per_core[1].timeline.record(at_tu(2), common::TraceKind::kRelease, "b");
+  per_core[1].timeline.record(at_tu(5), common::TraceKind::kStart, "b");
+  per_core[1].timeline.record(at_tu(3), common::TraceKind::kComplete, "b");
+  EXPECT_DEATH(merge_results(spec, partition, per_core),
+               "core 1's trace is out of time order: record 2 \\(complete b");
+}
+
 // Acceptance: the partitioned RTA verdict must agree with running the
 // uniprocessor RTA independently on every split core.
 TEST(MpFeasibility, AgreesWithPerCoreSingleVmRta) {
@@ -274,7 +379,9 @@ TEST(MpFeasibility, AgreesWithPerCoreSingleVmRta) {
     bool core_feasible = true;
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(got[i].has_value(), expected[i].has_value());
-      if (expected[i].has_value()) EXPECT_EQ(*got[i], *expected[i]);
+      if (expected[i].has_value()) {
+        EXPECT_EQ(*got[i], *expected[i]);
+      }
       core_feasible = core_feasible && expected[i].has_value();
     }
     EXPECT_EQ(verdict.per_core.cores[c].feasible, core_feasible);

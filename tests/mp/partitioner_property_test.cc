@@ -11,7 +11,9 @@
 //       jobs only ever land on serving cores (when any exist);
 //   P6  the partition is a pure function of (spec, strategy);
 //   P7  pack_items places exactly as the reference loop below — a stable
-//       sort on decreasing utilization, then every item in turn.
+//       sort on decreasing utilization, then every item in turn — on mixed
+//       sets, on rebalancer-shaped ones (hundreds of items, a handful
+//       placed) and on roomy ones (more placed than its selection rounds).
 #include "mp/partition.h"
 
 #include <gtest/gtest.h>
@@ -280,23 +282,97 @@ void random_pack_case(common::Rng& rng, std::vector<PartitionItem>* items,
   }
 }
 
-TEST(PartitionerProperty, PackItemsMatchesTheReferenceLoop) {
-  common::Rng rng(20240);
-  for (int round = 0; round < 2000; ++round) {
-    std::vector<PartitionItem> items;
-    std::vector<double> loads;
-    random_pack_case(rng, &items, &loads);
-    for (const auto strategy : {PackingStrategy::kFirstFitDecreasing,
-                                PackingStrategy::kWorstFitDecreasing,
-                                PackingStrategy::kBestFitDecreasing}) {
-      std::vector<double> got_loads = loads;
-      std::vector<double> want_loads = loads;
-      const auto got = Partitioner(strategy).pack_items(items, got_loads);
-      const auto want = reference_pack(strategy, items, want_loads);
-      ASSERT_EQ(got, want) << "round " << round << ", " << to_string(strategy);
-      ASSERT_EQ(got_loads, want_loads)
-          << "round " << round << ", " << to_string(strategy);
+// Rebalancer-shaped sets: hundreds of backlog requests (a declared cost per
+// server period, often equal) against bins loaded near full or excluded
+// with an over-capacity load, so only a handful fit.
+void backlog_pack_case(common::Rng& rng, std::vector<PartitionItem>* items,
+                       std::vector<double>* loads) {
+  const int cores = static_cast<int>(rng.uniform_i64(2, 8));
+  loads->clear();
+  for (int c = 0; c < cores; ++c) {
+    const double roll = rng.next_double();
+    loads->push_back(roll < 0.25   ? 2.0
+                     : roll < 0.85 ? 1.0 - rng.uniform(0.0, 0.06)
+                                   : rng.uniform(0.9, 1.2));
+  }
+  const double tied[] = {1.0 / 60.0, 1.0 / 30.0, 0.05, 0.1};
+  items->assign(static_cast<std::size_t>(rng.uniform_i64(100, 600)), {});
+  for (auto& item : *items) {
+    const double roll = rng.next_double();
+    item.utilization = roll < 0.01  ? 0.0
+                       : roll < 0.5 ? tied[rng.uniform_i64(0, 3)]
+                                    : rng.uniform(0.01, 0.15);
+    if (rng.next_double() < 0.05) {
+      item.affinity = static_cast<int>(rng.uniform_i64(0, cores + 1));
     }
+  }
+}
+
+// Roomy sets: small items onto light bins, so more than ceil(log2 n) + 1
+// of them are placed and the sorted finish runs.
+void roomy_pack_case(common::Rng& rng, std::vector<PartitionItem>* items,
+                     std::vector<double>* loads) {
+  const int cores = static_cast<int>(rng.uniform_i64(1, 8));
+  loads->clear();
+  for (int c = 0; c < cores; ++c) loads->push_back(rng.uniform(0.0, 0.4));
+  const double tied[] = {0.0, 0.02, 0.05, 0.125};
+  const bool ties = rng.next_double() < 0.5;
+  items->assign(static_cast<std::size_t>(rng.uniform_i64(2, 200)), {});
+  for (auto& item : *items) {
+    item.utilization =
+        ties ? tied[rng.uniform_i64(0, 3)] : rng.uniform(0.0, 0.15);
+    if (rng.next_double() < 0.2) {
+      item.affinity = static_cast<int>(rng.uniform_i64(0, cores + 1));
+    }
+  }
+}
+
+TEST(PartitionerProperty, PackItemsMatchesTheReferenceLoop) {
+  using Case = void (*)(common::Rng&, std::vector<PartitionItem>*,
+                        std::vector<double>*);
+  // Over its rounds and the three strategies, a shape must place a handful
+  // of hundreds of items, and more than ceil(log2 n) + 1 items (so the
+  // sorted finish runs), at least this often.
+  const struct {
+    const char* name;
+    Case make;
+    int rounds;
+    int min_handful;
+    int min_sort_finished;
+  } shapes[] = {{"mixed", random_pack_case, 2000, 0, 0},
+                {"backlog", backlog_pack_case, 300, 450, 0},
+                {"roomy", roomy_pack_case, 600, 0, 900}};
+  common::Rng rng(20240);
+  for (const auto& shape : shapes) {
+    int handful = 0;
+    int sort_finished = 0;
+    for (int round = 0; round < shape.rounds; ++round) {
+      std::vector<PartitionItem> items;
+      std::vector<double> loads;
+      shape.make(rng, &items, &loads);
+      std::size_t selection_rounds = 1;
+      for (std::size_t span = 1; span < items.size(); span *= 2) {
+        ++selection_rounds;
+      }
+      for (const auto strategy : {PackingStrategy::kFirstFitDecreasing,
+                                  PackingStrategy::kWorstFitDecreasing,
+                                  PackingStrategy::kBestFitDecreasing}) {
+        std::vector<double> got_loads = loads;
+        std::vector<double> want_loads = loads;
+        const auto got = Partitioner(strategy).pack_items(items, got_loads);
+        const auto want = reference_pack(strategy, items, want_loads);
+        ASSERT_EQ(got, want) << shape.name << " round " << round << ", "
+                             << to_string(strategy);
+        ASSERT_EQ(got_loads, want_loads) << shape.name << " round " << round
+                                         << ", " << to_string(strategy);
+        const auto placed = static_cast<std::size_t>(std::count_if(
+            got.begin(), got.end(), [](int c) { return c >= 0; }));
+        handful += items.size() >= 100 && placed > 0 && placed <= 10;
+        sort_finished += placed > selection_rounds;
+      }
+    }
+    EXPECT_GE(handful, shape.min_handful) << shape.name;
+    EXPECT_GE(sort_finished, shape.min_sort_finished) << shape.name;
   }
 }
 

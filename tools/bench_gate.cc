@@ -2,7 +2,7 @@
 // committed baseline under bench/baselines/.
 //
 // Usage:
-//   bench_gate --baseline bench/baselines/cross_core.json \
+//   bench_gate --baseline bench/baselines/cross_core.json
 //              --current out/cross_core.json [--tolerance 0.05]
 //
 // Both files use the "tsf-bench/1" schema: {"schema", "bench", "metrics":
