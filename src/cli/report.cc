@@ -21,6 +21,14 @@ namespace {
 
 using common::Duration;
 
+// A single-core run's gantt and VCD rows: the jobs, then the tasks.
+std::vector<std::string> spec_rows(const model::SystemSpec& spec) {
+  std::vector<std::string> rows;
+  for (const auto& job : spec.aperiodic_jobs) rows.push_back(job.name);
+  for (const auto& task : spec.periodic_tasks) rows.push_back(task.name);
+  return rows;
+}
+
 void render_run(std::ostream& os, const CliConfig& config,
                 const std::string& label, const model::RunResult& result) {
   os << "--- " << label << " ---\n";
@@ -53,19 +61,11 @@ void render_run(std::ostream& os, const CliConfig& config,
   }
 
   if (config.gantt) {
-    std::vector<std::string> rows;
-    if (config.spec.cores > 1) {
-      // Partitioned runs namespace entities per core ("c0/tau1"); take the
-      // merged timeline's own rows instead of guessing prefixes.
-      rows = result.timeline.entities();
-    } else {
-      for (const auto& job : config.spec.aperiodic_jobs) {
-        rows.push_back(job.name);
-      }
-      for (const auto& task : config.spec.periodic_tasks) {
-        rows.push_back(task.name);
-      }
-    }
+    // Partitioned runs namespace entities per core ("c0/tau1"); take the
+    // merged timeline's own rows instead of guessing prefixes.
+    const std::vector<std::string> rows = config.spec.cores > 1
+                                              ? result.timeline.entities()
+                                              : spec_rows(config.spec);
     common::GanttOptions options;
     options.end = config.spec.horizon;
     const auto span = config.spec.horizon - common::TimePoint::origin();
@@ -125,16 +125,17 @@ void render_partition(std::ostream& os, const CliConfig& config,
   os << '\n';
 }
 
+// Replays the timeline into `vcd` and writes the dump to `path`.
 void write_vcd(std::ostream& os, const std::string& path,
-               const common::Timeline& timeline,
-               const std::vector<std::string>& rows) {
-  std::ofstream vcd(path);
-  if (vcd) {
-    vcd << common::to_vcd(timeline, rows);
-    os << "execution trace written to " << path << " (VCD)\n";
-  } else {
+               const common::Timeline& timeline, common::StreamingVcd vcd) {
+  std::ofstream out(path);
+  if (!out) {
     os << "error: cannot write " << path << '\n';
+    return;
   }
+  for (const auto& r : timeline.records()) vcd.record(r.at, r.kind, r.who);
+  vcd.finish(out);
+  os << "execution trace written to " << path << " (VCD)\n";
 }
 
 void write_trace_file(std::ostream& os, const std::string& path,
@@ -277,7 +278,6 @@ std::string run_and_report(const CliConfig& config) {
            << "/" << config.spec.cores << " workers pinned\n";
       }
       if (!run.channel_deliveries.empty() || run.channel_in_flight > 0 ||
-          !run.merged.shed_events.empty() ||
           config.policy != mp::SchedPolicy::kPartitioned) {
         const auto ch = exp::compute_channel_metrics(run.channel_deliveries,
                                                      run.merged);
@@ -364,8 +364,9 @@ std::string run_and_report(const CliConfig& config) {
       os << "trace fingerprint: " << std::hex
          << common::fingerprint(run.merged.timeline) << std::dec << "\n";
       if (!config.vcd_path.empty()) {
+        // Per-core names ("c0/tau1"): one wire per entity, as they appear.
         write_vcd(os, config.vcd_path, run.merged.timeline,
-                  run.merged.timeline.entities());
+                  common::StreamingVcd());
       }
       if (!config.trace_path.empty()) {
         write_trace_file(os, config.trace_path, run.merged.timeline);
@@ -390,14 +391,8 @@ std::string run_and_report(const CliConfig& config) {
     const auto result = exp::run_exec(config.spec, config.exec_options);
     render_run(os, config, "execution (RTSJ-style runtime)", result);
     if (!config.vcd_path.empty()) {
-      std::vector<std::string> rows;
-      for (const auto& job : config.spec.aperiodic_jobs) {
-        rows.push_back(job.name);
-      }
-      for (const auto& task : config.spec.periodic_tasks) {
-        rows.push_back(task.name);
-      }
-      write_vcd(os, config.vcd_path, result.timeline, rows);
+      write_vcd(os, config.vcd_path, result.timeline,
+                common::StreamingVcd(spec_rows(config.spec)));
     }
     if (!config.trace_path.empty()) {
       write_trace_file(os, config.trace_path, result.timeline);

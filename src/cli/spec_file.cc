@@ -563,14 +563,30 @@ struct Parser {
       }
     }
 
-    // Channel semantics: fires targets must resolve, and the channel roles
-    // must be consistent (routing is by job name, so names must be unique).
+    // The trace keys its entities by name, and channels route by job name:
+    // every task and job needs a name of its own, and not the server's.
+    std::set<std::string> task_names;
+    for (const auto& t : out.config.spec.periodic_tasks) {
+      if (t.name == "server") {
+        out.errors.push_back("task name 'server' is the aperiodic server's");
+      } else if (!task_names.insert(t.name).second) {
+        out.errors.push_back("duplicate task name '" + t.name + "'");
+      }
+    }
     std::set<std::string> names;
     for (const auto& j : out.config.spec.aperiodic_jobs) {
+      if (j.name == "server") {
+        out.errors.push_back("job name 'server' is the aperiodic server's");
+      } else if (task_names.count(j.name) > 0) {
+        out.errors.push_back("job '" + j.name + "' has the name of a task");
+      }
       if (!names.insert(j.name).second) {
         out.errors.push_back("duplicate job name '" + j.name + "'");
       }
     }
+
+    // Channel semantics: fires targets must resolve, and the channel roles
+    // must be consistent.
     const bool has_channel_jobs = out.config.spec.uses_channels();
     if (has_channel_jobs &&
         out.config.spec.server.policy == model::ServerPolicy::kNone) {

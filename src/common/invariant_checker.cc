@@ -1,5 +1,6 @@
 #include "common/invariant_checker.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace tsf::common {
@@ -32,9 +33,35 @@ struct InvariantChecker::CoreFeed : TraceSink {
   std::size_t core_;
 };
 
+std::size_t InvariantChecker::KeyHash::operator()(const Key& k) const noexcept {
+  std::uint64_t h = static_cast<std::uint64_t>(k.release);
+  h = (h ^ k.job) * 0x9E3779B97F4A7C15ULL;
+  h = (h ^ k.core) * 0xC2B2AE3D27D4EB4FULL;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+std::size_t InvariantChecker::job_id(std::string_view name) {
+  const auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  ids_.emplace(std::string(name), jobs_.size());
+  jobs_.push_back(Job{std::string(name)});
+  return jobs_.size() - 1;
+}
+
+InvariantChecker::JobState& InvariantChecker::state_of(std::size_t core,
+                                                       std::size_t job,
+                                                       std::int64_t release) {
+  const Key key{core, job, release};
+  const auto [it, inserted] = state_index_.emplace(key, states_.size());
+  if (inserted) states_.emplace_back(key, JobState{});
+  return states_[it->second].second;
+}
+
 void InvariantChecker::add_job(std::string_view name,
                                std::int64_t relative_deadline_ticks) {
-  deadlines_[std::string(name)] = relative_deadline_ticks;
+  Job& job = jobs_[job_id(name)];
+  job.registered = true;
+  job.relative_deadline_ticks = relative_deadline_ticks;
 }
 
 TraceSink* InvariantChecker::core_sink(std::size_t core) {
@@ -45,11 +72,11 @@ TraceSink* InvariantChecker::core_sink(std::size_t core) {
 void InvariantChecker::note_shed_ledger(std::size_t core, std::string_view job,
                                         std::int64_t release_ticks,
                                         bool takeover) {
-  auto& state = jobs_[Key{core, std::string(job), release_ticks}];
+  JobState& entry = state_of(core, job_id(job), release_ticks);
   if (takeover) {
-    ++state.ledger_takeovers;
+    ++entry.ledger_takeovers;
   } else {
-    ++state.ledger_sheds;
+    ++entry.ledger_sheds;
   }
 }
 
@@ -78,10 +105,11 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
     default:
       return;
   }
-  const auto it = deadlines_.find(who);
-  if (it == deadlines_.end()) return;  // not a registered job
-  const bool firm = it->second > 0;
-  auto& state = jobs_[Key{core, std::string(who), value}];
+  const auto it = ids_.find(who);
+  if (it == ids_.end() || !jobs_[it->second].registered) return;
+  const std::size_t id = it->second;
+  const bool firm = jobs_[id].relative_deadline_ticks > 0;
+  JobState& state = state_of(core, id, value);
 
   // Almost every check passes, so the text is built only for a violation.
   const auto ctx = [&] {
@@ -125,7 +153,7 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
         // work served" — legal on its own (overload = off/shed have no
         // admission), but forbidden to displace an admitted job's deadline.
         if (kind == TraceKind::kComplete && firm && !state.admitted) {
-          sheddable_served_[core].emplace_back(at, std::string(who));
+          sheddable_served_[core].emplace_back(at, id);
         }
       }
       break;
@@ -135,11 +163,20 @@ void InvariantChecker::record_on_core(std::size_t core, TimePoint at,
 }
 
 std::vector<InvariantChecker::Violation> InvariantChecker::finish() {
-  for (const auto& [key, state] : jobs_) {
-    const auto& [core, name, release] = key;
-    const auto deadline_it = deadlines_.find(name);
-    const std::int64_t rel =
-        deadline_it == deadlines_.end() ? 0 : deadline_it->second;
+  std::vector<std::size_t> order(states_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    const Key& x = states_[a].first;
+    const Key& y = states_[b].first;
+    if (x.core != y.core) return x.core < y.core;
+    if (x.job != y.job) return jobs_[x.job].name < jobs_[y.job].name;
+    return x.release < y.release;
+  });
+  for (const std::size_t i : order) {
+    const auto& [key, state] = states_[i];
+    const auto& [core, job, release] = key;
+    const std::string& name = jobs_[job].name;
+    const std::int64_t rel = jobs_[job].relative_deadline_ticks;
 
     // Exactly-once ledger: every kShed trace record has one non-takeover
     // ledger entry, and neither side may duplicate.
@@ -172,13 +209,13 @@ std::vector<InvariantChecker::Violation> InvariantChecker::finish() {
     if (met) continue;
     const auto served_it = sheddable_served_.find(core);
     if (served_it == sheddable_served_.end()) continue;
-    for (const auto& [when, served_name] : served_it->second) {
+    for (const auto& [when, served] : served_it->second) {
       if (when > state.last_admit && when <= deadline) {
         std::ostringstream d;
         d << job_context(core, name, release)
           << ": missed deadline t=" << deadline.ticks()
-          << " ticks while sheddable job " << served_name << " completed at t="
-          << when.ticks() << " ticks";
+          << " ticks while sheddable job " << jobs_[served].name
+          << " completed at t=" << when.ticks() << " ticks";
         add_violation(kAdmittedDeadlineMiss, d.str());
         break;
       }

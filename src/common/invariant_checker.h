@@ -17,13 +17,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/string_hash.h"
 #include "common/trace.h"
 
 namespace tsf::common {
@@ -74,7 +77,13 @@ class InvariantChecker : public TraceSink {
 
  private:
   struct CoreFeed;
-  // Per (core, job, release) lifecycle state.
+  // A name given to add_job or note_shed_ledger, by dense id.
+  struct Job {
+    std::string name;
+    bool registered = false;  // add_job'ed: its records are checked
+    std::int64_t relative_deadline_ticks = 0;
+  };
+  // Per (core, job id, release) lifecycle state.
   struct JobState {
     bool admitted = false;       // currently in the privileged set
     bool ever_admitted = false;
@@ -85,19 +94,35 @@ class InvariantChecker : public TraceSink {
     std::size_t ledger_sheds = 0;
     std::size_t ledger_takeovers = 0;
   };
-  using Key = std::tuple<std::size_t, std::string, std::int64_t>;
+  struct Key {
+    std::size_t core;
+    std::size_t job;
+    std::int64_t release;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept;
+  };
 
+  std::size_t job_id(std::string_view name);
+  JobState& state_of(std::size_t core, std::size_t job,
+                     std::int64_t release);
   void add_violation(std::string_view name, std::string detail);
   void record_on_core(std::size_t core, TimePoint at, TraceKind kind,
                       std::string_view who, std::int64_t value,
                       std::string_view note);
 
   std::size_t core_ = 0;
-  std::map<std::string, std::int64_t, std::less<>> deadlines_;
-  std::map<Key, JobState> jobs_;
+  std::vector<Job> jobs_;
+  // Determinism audit: the two hash maps below are lookup-only; finish()
+  // walks `states_` in (core, name, release) order.
+  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+      ids_;
+  std::unordered_map<Key, std::size_t, KeyHash> state_index_;
+  std::vector<std::pair<Key, JobState>> states_;  // in order of first use
   // Completions of firm jobs that were NOT admitted at completion time —
-  // "sheddable work served" — per core, in stream order.
-  std::map<std::size_t, std::vector<std::pair<TimePoint, std::string>>>
+  // "sheddable work served" — per core, in stream order, by job id.
+  std::map<std::size_t, std::vector<std::pair<TimePoint, std::size_t>>>
       sheddable_served_;
   std::vector<Violation> violations_;
   std::vector<std::unique_ptr<CoreFeed>> feeds_;

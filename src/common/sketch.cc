@@ -2,16 +2,11 @@
 
 #include <cmath>
 
-#include "common/diag.h"
-
 namespace tsf::common {
 
-LogSketch::LogSketch(double relative_accuracy) : alpha_(relative_accuracy) {
-  TSF_ASSERT(alpha_ > 0.0 && alpha_ < 1.0,
-             "sketch accuracy must be in (0,1), got " << alpha_);
-  gamma_ = (1.0 + alpha_) / (1.0 - alpha_);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
-}
+LogSketch::LogSketch()
+    : gamma_((1.0 + kRelativeAccuracy) / (1.0 - kRelativeAccuracy)),
+      inv_log_gamma_(1.0 / std::log(gamma_)) {}
 
 void LogSketch::add(double x) {
   ++total_;
@@ -25,9 +20,6 @@ void LogSketch::add(double x) {
 }
 
 void LogSketch::merge(const LogSketch& other) {
-  TSF_ASSERT(alpha_ == other.alpha_,
-             "merging sketches with different accuracies ("
-                 << alpha_ << " vs " << other.alpha_ << ")");
   zero_ += other.zero_;
   total_ += other.total_;
   for (const auto& [index, count] : other.buckets_) {
@@ -48,7 +40,7 @@ double LogSketch::quantile(double q) const {
   for (const auto& [index, count] : buckets_) {
     cumulative += count;
     if (rank < cumulative) {
-      // Midpoint of (gamma^(i-1), gamma^i]: relative error <= alpha for any
+      // Midpoint of (gamma^(i-1), gamma^i]: relative error <= kRelativeAccuracy for any
       // point in the bucket.
       return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
     }

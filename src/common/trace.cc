@@ -1,8 +1,6 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/diag.h"
@@ -113,40 +111,6 @@ void append_csv_field(std::string* out, const std::string& field) {
   out->push_back('"');
 }
 
-// Splits one CSV line (quotes honoured) into fields. Returns false on a
-// malformed quote sequence.
-bool split_csv_line(std::string_view line, std::vector<std::string>* fields) {
-  fields->clear();
-  std::string current;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        current.push_back(c);
-      }
-    } else if (c == '"') {
-      if (!current.empty()) return false;  // quote mid-field
-      quoted = true;
-    } else if (c == ',') {
-      fields->push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (quoted) return false;
-  fields->push_back(std::move(current));
-  return true;
-}
-
 }  // namespace
 
 std::string Timeline::to_csv() const {
@@ -166,65 +130,6 @@ std::string Timeline::to_csv() const {
   return out;
 }
 
-bool timeline_from_csv(std::string_view csv, Timeline* out,
-                       std::string* error) {
-  auto fail = [error](std::size_t line_no, const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + message;
-    }
-    return false;
-  };
-
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  std::vector<std::string> fields;
-  while (pos <= csv.size()) {
-    // A quoted note may contain newlines, so scan for the line end with the
-    // quote state in mind.
-    std::size_t end = pos;
-    bool quoted = false;
-    while (end < csv.size() && (quoted || csv[end] != '\n')) {
-      if (csv[end] == '"') quoted = !quoted;
-      ++end;
-    }
-    const std::string_view line = csv.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty() && pos > csv.size()) break;  // trailing newline
-    ++line_no;
-    if (line_no == 1) {
-      if (line != "ticks,kind,who,value,note") {
-        return fail(line_no, "missing csv header");
-      }
-      continue;
-    }
-    if (line.empty()) continue;
-    if (!split_csv_line(line, &fields)) {
-      return fail(line_no, "malformed quoting");
-    }
-    if (fields.size() != 5) {
-      return fail(line_no, "expected 5 fields, got " +
-                               std::to_string(fields.size()));
-    }
-    errno = 0;
-    char* endp = nullptr;
-    const long long ticks = std::strtoll(fields[0].c_str(), &endp, 10);
-    if (endp == fields[0].c_str() || *endp != '\0') {
-      return fail(line_no, "bad ticks '" + fields[0] + "'");
-    }
-    TraceKind kind;
-    if (!trace_kind_from_string(fields[1], &kind)) {
-      return fail(line_no, "unknown kind '" + fields[1] + "'");
-    }
-    const long long value = std::strtoll(fields[3].c_str(), &endp, 10);
-    if (endp == fields[3].c_str() || *endp != '\0') {
-      return fail(line_no, "bad value '" + fields[3] + "'");
-    }
-    out->record(TimePoint::at_ticks(ticks), kind, fields[2], value,
-                fields[4]);
-  }
-  return true;
-}
-
 std::uint64_t fnv1a_record(std::uint64_t h, TimePoint at, TraceKind kind,
                            std::string_view who, std::int64_t value,
                            std::string_view note) {
@@ -242,66 +147,6 @@ std::uint64_t fingerprint(const Timeline& timeline) {
     h = fnv1a_record(h, r.at, r.kind, r.who, r.value, r.note);
   }
   return h;
-}
-
-std::string vcd_identifier(std::size_t index) {
-  // Bijective base-94: 0 → "!", 93 → "~", 94 → "!!", ... Every index maps
-  // to a unique string and the first 94 keep the historical 1-char form.
-  std::string id;
-  std::size_t n = index + 1;
-  while (n > 0) {
-    n -= 1;
-    id.insert(id.begin(), static_cast<char>('!' + n % 94));
-    n /= 94;
-  }
-  return id;
-}
-
-std::string to_vcd(const Timeline& timeline,
-                   const std::vector<std::string>& rows) {
-  std::ostringstream oss;
-  oss << "$timescale 1us $end\n$scope module tsf $end\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::string name = rows[i];
-    for (auto& c : name) {
-      if (c == ' ') c = '_';
-    }
-    oss << "$var wire 1 " << vcd_identifier(i) << ' ' << name << " $end\n";
-  }
-  oss << "$upscope $end\n$enddefinitions $end\n";
-
-  // Gather transitions: (time, signal, level).
-  struct Edge {
-    std::int64_t at;
-    std::size_t signal;
-    bool level;
-  };
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (const auto& iv : timeline.busy_intervals(rows[i])) {
-      edges.push_back({iv.begin.ticks(), i, true});
-      edges.push_back({iv.end.ticks(), i, false});
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.signal != b.signal) return a.signal < b.signal;
-    return a.level < b.level;  // falling edge before rising at the same time
-  });
-
-  oss << "#0\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    oss << '0' << vcd_identifier(i) << '\n';
-  }
-  std::int64_t current = 0;
-  for (const auto& e : edges) {
-    if (e.at != current) {
-      current = e.at;
-      oss << '#' << current << '\n';
-    }
-    oss << (e.level ? '1' : '0') << vcd_identifier(e.signal) << '\n';
-  }
-  return oss.str();
 }
 
 std::string render_gantt(const Timeline& timeline,

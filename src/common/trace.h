@@ -115,17 +115,12 @@ class Timeline : public TraceSink {
 
   // One record per line, "ticks,kind,who,value,note". Fields containing a
   // comma, quote or newline are quoted RFC-4180 style ('"' doubled), so
-  // free-form notes round-trip through timeline_from_csv.
+  // free-form notes keep the column structure.
   std::string to_csv() const;
 
  private:
   std::vector<TraceRecord> records_;
 };
-
-// Parses the to_csv format back into a timeline (header line required).
-// Returns false with a message in *error on malformed input.
-bool timeline_from_csv(std::string_view csv, Timeline* out,
-                       std::string* error);
 
 // Renders an ASCII Gantt chart of the busy intervals, one row per entity,
 // in the style of the paper's figures 2-4.
@@ -177,17 +172,5 @@ std::uint64_t fnv1a_record(std::uint64_t h, TimePoint at, TraceKind kind,
 // runs without storing full traces.
 TSF_DETERMINISM_CRITICAL
 std::uint64_t fingerprint(const Timeline& timeline);
-
-// Identifier of the i-th VCD signal: bijective base-94 over the printable
-// range '!'..'~' — one character for the first 94 signals (compatible with
-// the historical single-char scheme), two for the next 94^2, and so on.
-std::string vcd_identifier(std::size_t index);
-
-// Value-change-dump export (GTKWave & friends): one 1-bit wire per entity,
-// high while the entity holds the processor. Timescale: 1 tick = 1 us
-// (nominal; virtual time has no physical unit). Entities in `rows`; pass
-// timeline.entities() for everything.
-std::string to_vcd(const Timeline& timeline,
-                   const std::vector<std::string>& rows);
 
 }  // namespace tsf::common

@@ -20,9 +20,6 @@ namespace tsf::common {
 // the materialized Timeline while a streaming consumer listens in.
 class TeeSink final : public TraceSink {
  public:
-  TeeSink() = default;
-  explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}
-
   void add(TraceSink* sink) {
     if (sink != nullptr) sinks_.push_back(sink);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "common/diag.h"
 #include "common/time.h"
@@ -12,20 +11,45 @@ namespace tsf::common {
 // ---------------------------------------------------------------------------
 // StreamingVcd
 
-std::size_t StreamingVcd::intern(std::string_view who) {
+std::string vcd_identifier(std::size_t index) {
+  // Bijective base-94: 0 → "!", 93 → "~", 94 → "!!", ...
+  std::string id;
+  std::size_t n = index + 1;
+  while (n > 0) {
+    n -= 1;
+    id.insert(id.begin(), static_cast<char>('!' + n % 94));
+    n /= 94;
+  }
+  return id;
+}
+
+StreamingVcd::StreamingVcd(const std::vector<std::string>& rows)
+    : fixed_rows_(true) {
+  for (const auto& row : rows) {
+    TSF_ASSERT(ids_.find(row) == ids_.end(),
+               "VCD row " << row << " is listed twice");
+    add_wire(row);
+  }
+}
+
+void StreamingVcd::add_wire(std::string_view name) {
+  ids_.emplace(std::string(name), wires_.size());
+  wires_.push_back(Wire{std::string(name), vcd_identifier(wires_.size())});
+}
+
+std::size_t StreamingVcd::wire(std::string_view who) {
   const auto it = ids_.find(who);
   if (it != ids_.end()) return it->second;
-  const std::size_t id = entities_.size();
-  ids_.emplace(std::string(who), id);
-  entities_.push_back(Entity{std::string(who), false, 0});
-  return id;
+  if (fixed_rows_) return kNoWire;
+  add_wire(who);
+  return wires_.size() - 1;
 }
 
 void StreamingVcd::record(TimePoint at, TraceKind kind, std::string_view who,
                           std::int64_t /*value*/, std::string_view /*note*/) {
-  // Intern on every kind: the header must list entities in first-appearance
-  // order over the whole stream, exactly like Timeline::entities().
-  const std::size_t id = intern(who);
+  // Look up on every kind: without a row list, wires are declared in order
+  // of first appearance over the whole stream, like Timeline::entities().
+  const std::size_t i = wire(who);
   if (have_instant_ && at.ticks() != cur_at_) {
     TSF_ASSERT(at.ticks() > cur_at_,
                "trace stream went backwards: " << at.ticks() << " after "
@@ -34,92 +58,65 @@ void StreamingVcd::record(TimePoint at, TraceKind kind, std::string_view who,
   }
   cur_at_ = at.ticks();
   have_instant_ = true;
-  if (opens_interval(kind) || closes_interval(kind)) {
-    held_.push_back(Held{kind, id});
+  if (i == kNoWire || !(opens_interval(kind) || closes_interval(kind))) {
+    return;
+  }
+  Wire& w = wires_[i];
+  if (!w.touched) {
+    w.touched = true;
+    w.open_before = w.open;
+    touched_.push_back(i);
+  }
+  if (opens_interval(kind)) {
+    TSF_ASSERT(!w.open,
+               "entity " << w.name << " started twice at " << cur_at_);
+    w.open = true;
+    w.begin = cur_at_;
+  } else {
+    w.open = false;
   }
 }
 
 void StreamingVcd::flush() {
-  // Per entity, the records of one instant collapse to at most two edges: a
-  // fall (the window open at instant start closed now) and a rise (a window
-  // opened now is still open at instant end). Anything opened and closed
-  // within the instant is a zero-length window, which busy_intervals drops.
-  struct Touch {
-    std::size_t entity;
-    bool closed_nonzero = false;
-  };
-  std::vector<Touch> touched;
-  for (const Held& h : held_) {
-    Entity& e = entities_[h.entity];
-    bool seen = false;
-    for (const Touch& t : touched) {
-      if (t.entity == h.entity) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) touched.push_back(Touch{h.entity});
-    if (opens_interval(h.kind)) {
-      TSF_ASSERT(!e.open,
-                 "entity " << e.name << " started twice at " << cur_at_);
-      e.open = true;
-      e.begin = cur_at_;
-    } else if (e.open) {
-      e.open = false;
-      if (cur_at_ > e.begin) {
-        for (Touch& t : touched) {
-          if (t.entity == h.entity) t.closed_nonzero = true;
-        }
-      }
-    }
+  // Per wire, an instant leaves at most a fall (the window open as the
+  // instant began has closed) and then a rise (a window opened now is still
+  // open). A window opened and closed within the instant leaves nothing.
+  std::sort(touched_.begin(), touched_.end());
+  for (const std::size_t i : touched_) {
+    Wire& w = wires_[i];
+    w.touched = false;
+    const bool rise = w.open && w.begin == cur_at_;
+    if (w.open_before && (rise || !w.open)) edge('0', w);
+    if (rise) edge('1', w);
   }
-  held_.clear();
-
-  struct Edge {
-    std::size_t signal;
-    bool level;
-  };
-  std::vector<Edge> edges;
-  for (const Touch& t : touched) {
-    const Entity& e = entities_[t.entity];
-    if (t.closed_nonzero) edges.push_back(Edge{t.entity, false});
-    if (e.open && e.begin == cur_at_) edges.push_back(Edge{t.entity, true});
-  }
-  if (edges.empty()) return;
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.signal != b.signal) return a.signal < b.signal;
-    return a.level < b.level;  // falling edge before rising at the same time
-  });
-  if (cur_at_ != emitted_at_) {
-    emitted_at_ = cur_at_;
-    body_ << '#' << cur_at_ << '\n';
-  }
-  for (const Edge& e : edges) {
-    body_ << (e.level ? '1' : '0') << vcd_identifier(e.signal) << '\n';
-  }
+  touched_.clear();
 }
 
-void StreamingVcd::finish() {
-  if (!have_instant_) return;
-  flush();
-  have_instant_ = false;
+void StreamingVcd::edge(char level, const Wire& w) {
+  if (cur_at_ != stamped_at_) {
+    stamped_at_ = cur_at_;
+    body_ += '#';
+    body_ += std::to_string(cur_at_);
+    body_ += '\n';
+  }
+  body_ += level;
+  body_ += w.id;
+  body_ += '\n';
 }
 
-std::string StreamingVcd::header() const {
-  std::ostringstream oss;
-  oss << "$timescale 1us $end\n$scope module tsf $end\n";
-  for (std::size_t i = 0; i < entities_.size(); ++i) {
-    std::string name = entities_[i].name;
+void StreamingVcd::finish(std::ostream& out) {
+  if (have_instant_) flush();
+  out << "$timescale 1us $end\n$scope module tsf $end\n";
+  for (const Wire& w : wires_) {
+    std::string name = w.name;
     for (auto& c : name) {
       if (c == ' ') c = '_';
     }
-    oss << "$var wire 1 " << vcd_identifier(i) << ' ' << name << " $end\n";
+    out << "$var wire 1 " << w.id << ' ' << name << " $end\n";
   }
-  oss << "$upscope $end\n$enddefinitions $end\n#0\n";
-  for (std::size_t i = 0; i < entities_.size(); ++i) {
-    oss << '0' << vcd_identifier(i) << '\n';
-  }
-  return oss.str();
+  out << "$upscope $end\n$enddefinitions $end\n#0\n";
+  for (const Wire& w : wires_) out << '0' << w.id << '\n';
+  out << body_;
 }
 
 // ---------------------------------------------------------------------------

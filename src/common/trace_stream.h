@@ -1,12 +1,12 @@
 // Streaming trace consumers: VCD edges and run metrics computed online.
 //
 // Both sinks hold per-entity cursor state only — never the trace — so they
-// are O(entities) in memory for a trace of any length. Records arrive in
-// time order and are never taken back, so StreamingTraceMetrics folds each
-// one as it arrives. StreamingVcd alone holds the records of the current
-// instant: a busy window opened and closed at the same instant is zero
-// length, and must leave no edge, exactly as Timeline::busy_intervals drops
-// it.
+// are O(entities) in memory for a trace of any length (StreamingVcd also
+// keeps the VCD text it has written). Records arrive in time order and are
+// never taken back, so each sink folds a record as it arrives. StreamingVcd
+// writes an instant's edges once time moves past it: a busy window opened
+// and closed at the same instant is zero length and leaves no edge, exactly
+// as Timeline::busy_intervals drops it.
 #pragma once
 
 #include <cstdint>
@@ -25,51 +25,61 @@
 
 namespace tsf::common {
 
-// Streams VCD edge lines into `body` as virtual time advances. After
-// finish(), header() + the body stream is byte-identical to
-// to_vcd(timeline, timeline.entities()) for any engine-produced trace (the
-// engines close every interval by the final horizon; an interval still open
-// at finish is dropped by both paths only when it never closed).
+// Identifier of the i-th VCD signal: bijective base-94 over the printable
+// range '!'..'~' — one character for the first 94 signals, two for the next
+// 94^2, and so on.
+std::string vcd_identifier(std::size_t index);
+
+// The value-change-dump writer (GTKWave & friends): one 1-bit wire per row,
+// high while that entity holds the processor. Timescale: 1 tick = 1 us
+// (nominal; virtual time has no physical unit). Within an instant, edges go
+// in wire order, a wire's fall before its rise. A window still open when
+// the stream ends keeps its rising edge.
 class StreamingVcd final : public TraceSink {
  public:
-  explicit StreamingVcd(std::ostream& body) : body_(body) {}
+  // One wire per entity, declared in order of first appearance.
+  StreamingVcd() = default;
+  // One wire per row, declared in this order; records of any other entity
+  // are ignored. Rows must be distinct.
+  explicit StreamingVcd(const std::vector<std::string>& rows);
 
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
 
-  // Flushes the final instant. Call once, before header().
+  // Closes the last instant and writes the dump to `out`: the declarations,
+  // the #0 block that zeroes every wire, then the edges. Call once.
   TSF_DETERMINISM_CRITICAL
-  void finish();
-
-  // Declarations + the #0 zero-initialization block; prepend to the body.
-  std::string header() const;
+  void finish(std::ostream& out);
 
  private:
-  struct Entity {
+  static constexpr std::size_t kNoWire = static_cast<std::size_t>(-1);
+
+  struct Wire {
     std::string name;
-    bool open = false;
-    std::int64_t begin = 0;
-  };
-  struct Held {
-    TraceKind kind;
-    std::size_t entity;
+    std::string id;            // vcd_identifier of the wire's index
+    bool open = false;         // inside a busy window
+    std::int64_t begin = 0;    // where the open window began
+    bool touched = false;      // opened or closed at cur_at_
+    bool open_before = false;  // `open` as cur_at_ began
   };
 
-  std::size_t intern(std::string_view who);
+  std::size_t wire(std::string_view who);
+  void add_wire(std::string_view name);
   void flush();
+  void edge(char level, const Wire& w);
 
-  std::ostream& body_;
-  std::vector<Entity> entities_;
-  // Determinism audit: lookup-only intern table; iteration and all output
-  // ordering go through `entities_` (insertion-ordered), so bucket order is
-  // unobservable.
+  bool fixed_rows_ = false;
+  std::vector<Wire> wires_;
+  // Determinism audit: lookup-only table; wires are declared and written in
+  // `wires_` order, so bucket order is unobservable.
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       ids_;
+  std::vector<std::size_t> touched_;  // wires touched at cur_at_
   std::int64_t cur_at_ = 0;
   bool have_instant_ = false;
-  std::vector<Held> held_;  // interval-affecting records of cur_at_
-  std::int64_t emitted_at_ = 0;
+  std::int64_t stamped_at_ = 0;  // last '#' written; the header writes #0
+  std::string body_;             // the edges, '#' stamps included
 };
 
 // Online counters and distributions over a trace stream: record/kind
@@ -78,9 +88,6 @@ class StreamingVcd final : public TraceSink {
 // (FIFO per entity).
 class StreamingTraceMetrics final : public TraceSink {
  public:
-  explicit StreamingTraceMetrics(double sketch_accuracy = 0.01)
-      : response_sketch_(sketch_accuracy) {}
-
   TSF_DETERMINISM_CRITICAL
   void record(TimePoint at, TraceKind kind, std::string_view who,
               std::int64_t value = 0, std::string_view note = {}) override;
@@ -121,8 +128,8 @@ class StreamingTraceMetrics final : public TraceSink {
   LogSketch response_sketch_;
   Accumulator response_stats_;
   std::vector<Entity> entities_;
-  // Determinism audit: lookup-only intern table, same contract as
-  // StreamingVcd::ids_ — aggregates and reports read `entities_` only.
+  // Determinism audit: lookup-only intern table; aggregates and reports
+  // read `entities_` only.
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       ids_;
 };

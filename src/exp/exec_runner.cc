@@ -136,7 +136,7 @@ ExecSystem::ExecSystem(rtsj::vm::VirtualMachine& vm,
 
   // Aperiodic jobs: one SAE + SAEH each; a release timer unless the job is
   // triggered (released only by a channel delivery or another job's fire).
-  common::Rng jitter_rng(options.jitter_seed);
+  common::Rng jitter_rng(kJitterSeed);
   if (server_ != nullptr) {
     for (const auto& job : spec_.aperiodic_jobs) {
       const Duration actual = jittered_cost(jitter_rng, options, job.cost);

@@ -35,6 +35,9 @@ class RealtimeThread;
 
 namespace tsf::exp {
 
+// The seed of every execution-time jitter stream (ExecOptions::cost_jitter).
+inline constexpr std::uint64_t kJitterSeed = 7;
+
 struct ExecOptions {
   // Kernel costs (timer fires, context switches, releases).
   rtsj::vm::OverheadModel kernel;
@@ -43,12 +46,11 @@ struct ExecOptions {
   common::Duration dispatch_overhead = common::Duration::zero();
   // Execution-time jitter: each handler's *actual* demand is its declared
   // cost scaled by uniform(1 - jitter, 1 + jitter), deterministically in
-  // (jitter_seed, job order). Models the paper's real-machine effect that a
+  // (kJitterSeed, job order). Models the paper's real-machine effect that a
   // task "overruns its WCET", one of the two interruption causes named in
   // §7. Zero disables it; the declared cost (what the server admits against)
   // is never changed.
   double cost_jitter = 0.0;
-  std::uint64_t jitter_seed = 7;
   // Overload policy (exp/overload.h). kDover swaps each serving core's
   // pending queue for the D-over discipline at construction; kShed is acted
   // on by the mp layer's OverloadGovernor at epoch boundaries.

@@ -199,7 +199,7 @@ MpRunResult run_exec(const model::SystemSpec& spec, Partition partition,
   // plus every unpinned untriggered job under global (they belong to the
   // shared ready pool). Execution-time jitter is applied here, once, from
   // the same seed the per-core systems use — deterministic in spec order.
-  common::Rng jitter_rng(options.exec.jitter_seed);
+  common::Rng jitter_rng(exp::kJitterSeed);
   for (const auto& job : spec.aperiodic_jobs) {
     const bool pooled = global && pool_scheduled(job);
     if (!job.migrate && !pooled) continue;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cli/report.h"
 
 namespace tsf::cli {
@@ -359,6 +362,43 @@ TEST(SpecFile, RejectsInconsistentChannelRoles) {
       "[run]\nhorizon=9\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.errors.front().find("duplicate job name"), std::string::npos);
+}
+
+// The trace keys entities by name, so a name shared by two sections (or
+// taken from the server) would fold two schedulables into one entity.
+TEST(SpecFile, RejectsNamesTheTraceCannotTellApart) {
+  const std::string server = "[server]\npolicy=polling\ncapacity=2\nperiod=6\n";
+  const std::string task = "\nperiod=6\ncost=1\npriority=20\n";
+  const std::string job = "\nrelease=1\ncost=1\n";
+  const std::string run = "[run]\nhorizon=9\n";
+  const auto first_error = [](const std::string& spec) {
+    const auto outcome = parse_spec(spec);
+    return outcome.ok() ? std::string() : outcome.errors.front();
+  };
+
+  EXPECT_EQ(first_error(server + "[task x]" + task + "[job x]" + job + run),
+            "job 'x' has the name of a task");
+  EXPECT_EQ(first_error(server + "[task x]" + task + "[task x]" + task + run),
+            "duplicate task name 'x'");
+  EXPECT_EQ(first_error(server + "[task server]" + task + run),
+            "task name 'server' is the aperiodic server's");
+  EXPECT_EQ(first_error(server + "[job server]" + job + run),
+            "job name 'server' is the aperiodic server's");
+
+  // Every name problem is reported, each once, alongside the rest.
+  const auto all = parse_spec(server + "[task x]" + task + "[task x]" + task +
+                              "[job x]" + job + "[job server]" + job +
+                              "[run]\n");
+  EXPECT_EQ(all.errors,
+            (std::vector<std::string>{"missing [run] horizon",
+                                      "duplicate task name 'x'",
+                                      "job 'x' has the name of a task",
+                                      "job name 'server' is the aperiodic "
+                                      "server's"}));
+
+  const auto distinct =
+      parse_spec(server + "[task x]" + task + "[job y]" + job + run);
+  EXPECT_TRUE(distinct.ok()) << distinct.errors.front();
 }
 
 TEST(SpecFile, RejectsZeroQuantum) {

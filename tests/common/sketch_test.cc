@@ -25,7 +25,7 @@ double exact_quantile(std::vector<double> v, double q) {
 }
 
 TEST(LogSketch, QuantilesWithinRelativeAccuracy) {
-  LogSketch sketch(0.01);
+  LogSketch sketch;
   std::vector<double> values;
   std::uint64_t s = 42;
   for (int i = 0; i < 20000; ++i) {
@@ -41,8 +41,8 @@ TEST(LogSketch, QuantilesWithinRelativeAccuracy) {
 }
 
 TEST(LogSketch, ShardedMergeIsBitIdenticalToSerial) {
-  LogSketch whole(0.01);
-  std::vector<LogSketch> parts(4, LogSketch(0.01));
+  LogSketch whole;
+  std::vector<LogSketch> parts(4);
   std::uint64_t s = 7;
   for (int i = 0; i < 5000; ++i) {
     const double x = static_cast<double>(next(&s) % 100000) / 13.0;
@@ -50,7 +50,7 @@ TEST(LogSketch, ShardedMergeIsBitIdenticalToSerial) {
     parts[static_cast<std::size_t>(i % 4)].add(x);
   }
   // Merge in a scrambled order; integer bucket addition is commutative.
-  LogSketch pooled(0.01);
+  LogSketch pooled;
   for (const int p : {2, 0, 3, 1}) {
     pooled.merge(parts[static_cast<std::size_t>(p)]);
   }

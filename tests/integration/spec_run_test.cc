@@ -83,9 +83,10 @@ TEST(SpecRunIntegration, CrossCoreSpecMatchesGoldenReport) {
 
 // Shared body for the scheduling-policy golden tests: repeat-run
 // determinism plus the byte-compare against the checked-in report.
-void check_policy_golden(const std::string& spec_rel,
-                         const std::string& golden_rel,
-                         const std::vector<std::string>& must_contain) {
+void check_policy_golden(
+    const std::string& spec_rel, const std::string& golden_rel,
+    const std::vector<std::string>& must_contain,
+    const std::vector<std::string>& must_not_contain = {}) {
   const auto outcome = load_spec_file(source_path(spec_rel));
   ASSERT_TRUE(outcome.ok()) << outcome.errors.front();
   ASSERT_EQ(outcome.config.spec.cores, 2);
@@ -99,6 +100,9 @@ void check_policy_golden(const std::string& spec_rel,
   }
   for (const auto& needle : must_contain) {
     EXPECT_NE(first.find(needle), std::string::npos) << needle;
+  }
+  for (const auto& needle : must_not_contain) {
+    EXPECT_EQ(first.find(needle), std::string::npos) << needle;
   }
 
   const std::string golden = slurp(source_path(golden_rel));
@@ -141,6 +145,11 @@ TEST(SpecRunIntegration, GlobalPolicySpecMatchesGoldenReport) {
       });
 }
 
+// Sheds are not channel traffic, so a storm without channel jobs prints no
+// channels line.
+const std::string kEmptyChannelsLine =
+    "cross-core channels: 0 delivered, 0 failed, 0 in flight at horizon";
+
 // Storm specs (emitted by tools/make_storms.cc from the canonical
 // generator storms) run under overload = dover; every report must carry
 // the value-accrual ratio against the clairvoyant bound and a clean
@@ -157,7 +166,8 @@ TEST(SpecRunIntegration, RouterStormSpecMatchesGoldenReport) {
           "value accrual: 64.77 of clairvoyant bound 131.00 (ratio 0.494)",
           "forbidden-behavior check: clean",
           "trace fingerprint: ",
-      });
+      },
+      {kEmptyChannelsLine});
 }
 
 TEST(SpecRunIntegration, MarketStormSpecMatchesGoldenReport) {
@@ -170,7 +180,8 @@ TEST(SpecRunIntegration, MarketStormSpecMatchesGoldenReport) {
           "value accrual: 80.50 of clairvoyant bound 191.40 (ratio 0.421)",
           "forbidden-behavior check: clean",
           "trace fingerprint: ",
-      });
+      },
+      {kEmptyChannelsLine});
 }
 
 TEST(SpecRunIntegration, CascadeStormSpecMatchesGoldenReport) {
@@ -183,7 +194,8 @@ TEST(SpecRunIntegration, CascadeStormSpecMatchesGoldenReport) {
           "value accrual: 102.78 of clairvoyant bound 148.79 (ratio 0.691)",
           "forbidden-behavior check: clean",
           "trace fingerprint: ",
-      });
+      },
+      {kEmptyChannelsLine});
 }
 
 TEST(SpecRunIntegration, RebalanceSpecMatchesGoldenReport) {

@@ -1,8 +1,9 @@
 // tsf_trace — inspector for tsf-trace/1 binary trace streams.
 //
 // Usage:
-//   tsf_trace dump <trace> [--vcd]   materialize and print CSV (default)
-//                                    or a value-change dump
+//   tsf_trace dump <trace> [--vcd]   print CSV (default; materializes the
+//                                    trace) or a value-change dump (streamed;
+//                                    holds the dump, not the trace)
 //   tsf_trace summarize <trace>      one streaming pass: record/kind counts,
 //                                    busy time, response quantiles and the
 //                                    trace fingerprint — O(entities) memory
@@ -57,13 +58,15 @@ std::string render_record(const common::TraceRecord& r) {
 }
 
 int cmd_dump(const std::string& path, bool vcd) {
+  if (vcd) {
+    common::StreamingVcd writer;
+    if (!replay_file(path, &writer)) return 2;
+    writer.finish(std::cout);
+    return 0;
+  }
   common::Timeline timeline;
   if (!replay_file(path, &timeline)) return 2;
-  if (vcd) {
-    std::cout << common::to_vcd(timeline, timeline.entities());
-  } else {
-    std::cout << timeline.to_csv();
-  }
+  std::cout << timeline.to_csv();
   return 0;
 }
 
